@@ -12,15 +12,16 @@
 //!   when [`crate::config::SimConfig::sp_lifetime`] is set — summary-peer
 //!   departures that dissolve a domain mid-run and re-home its partners
 //!   (§4.3, [`crate::construction::handle_sp_departure`]);
-//! * **reconciliation** — per-domain α-gated token rings
-//!   ([`DomainCore::maybe_reconcile`]). Rings are *incremental*: the
-//!   token only visits the stale subset of the cooperation list
-//!   (`RingConversation::stale_route`); fresh members' contributions
-//!   stay in the domain's [`saintetiq::delta::GsAccumulator`] untouched
-//!   and departed members are expired in O(1), so per-round merge work
-//!   scales with how much actually changed, not with membership (see
-//!   the [`crate::peerstate`] module docs for the full design and the
-//!   byte-identical full-rebuild oracle);
+//! * **reconciliation** — per-domain α-gated token rings, started by
+//!   the push / `localsum` deliveries that cross α. Rings are
+//!   *incremental*: the token only visits the stale subset of the
+//!   cooperation list (`RingConversation::stale_route`); fresh
+//!   members' contributions stay in the domain's
+//!   [`saintetiq::delta::GsAccumulator`] untouched and departed members
+//!   are expired in O(1), so per-round merge work scales with how much
+//!   actually changed, not with membership (see the [`crate::peerstate`]
+//!   module docs for the full design and the byte-identical
+//!   full-rebuild oracle);
 //! * **queries** — intra-domain workload samples
 //!   ([`KernelEvent::LocalQuery`]) and, in networked mode, inter-domain
 //!   lookups ([`KernelEvent::InterQuery`]) routed against the *live*
@@ -36,14 +37,20 @@
 //!
 //! ## The message plane
 //!
-//! Under [`crate::config::DeliveryMode::Latency`] no protocol message
-//! applies synchronously: every push, `localsum`, reconciliation token,
-//! query, query-hit, flood request and `release` is sent as a
-//! [`KernelEvent::Deliver`] scheduled at `now + transit`, where transit
-//! is the topology link latency (partner↔SP hops use the construction
-//! broadcast-tree latency, unknown hops the configured default) plus
-//! the per-class serialization cost of [`Message::wire_bytes`] at the
-//! configured bandwidth. Effects happen at *delivery* time:
+//! Every protocol message — push, `localsum`, reconciliation token,
+//! query, query-hit, flood request — leaves through one send path,
+//! which counts it in the [`MessageLedger`], and takes effect in the
+//! `deliver_*` handler it reaches. Each maintenance protocol (§4.2.1's
+//! push, §4.1/§4.3's `localsum`, §4.2.2's token ring) therefore exists
+//! once, as messages; the delivery mode only picks the transport.
+//!
+//! Under [`crate::config::DeliveryMode::Latency`] the transport is
+//! *scheduled*: a message becomes a [`KernelEvent::Deliver`] at
+//! `now + transit`, where transit is the topology link latency
+//! (partner↔SP hops use the construction broadcast-tree latency,
+//! unknown hops the configured default) plus the per-class
+//! serialization cost of [`Message::wire_bytes`] at the configured
+//! bandwidth. Effects happen at *delivery* time:
 //!
 //! * a reconciliation ring is a conversation of token deliveries
 //!   (`RingConversation`): each live member snapshots its summary into
@@ -58,16 +65,28 @@
 //!   time between posing the query and meeting (or abandoning) its
 //!   target.
 //!
-//! [`crate::config::DeliveryMode::Instantaneous`] (the default) is the
-//! escape hatch: the pre-latency synchronous semantics, byte-identical
-//! to the Figure 4–7 pipelines. Both modes are deterministic under a
-//! fixed seed — the message plane draws no randomness.
+//! Under [`crate::config::DeliveryMode::Instantaneous`] (the default)
+//! the transport is *inline*: a message is delivered inside the event
+//! that sent it, through a FIFO that only the outermost send drains. A
+//! ring started by a delivery runs its token hops iteratively in the
+//! same event, so every conversation completes before the next event,
+//! nothing is ever in flight and no watchdog is scheduled — the same
+//! handlers, with zero transit time, reproduce the Figure 4–7
+//! pipelines. Inter-domain lookups keep the synchronous
+//! [`SimKernel::route_live`] in this mode: it is also the probe oracle
+//! behind [`MultiDomainSim::route_now`], and it counts messages
+//! differently from the lookup conversation (one reply per cache
+//! holder rather than one hit per cached candidate, and every long
+//! link rather than only those reaching an unseen domain), so routing
+//! instantaneous lookups through the conversation would move the
+//! instantaneous message figures. Both modes are deterministic under a
+//! fixed seed — neither transport draws randomness.
 //!
 //! [`crate::domain::DomainSim`] and [`crate::system::MultiDomainSystem`]
 //! are thin facades over this kernel; [`MultiDomainSim`] is the dynamic
 //! entry point the churn-under-routing experiments use. Probe entry
-//! points ([`SimKernel::route_live`], [`MultiDomainSim::route_now`])
-//! stay synchronous oracles in both modes.
+//! points ([`SimKernel::route_live`], [`MultiDomainSim::route_now`],
+//! [`SimKernel::reconcile_all`]) stay synchronous oracles in both modes.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -241,9 +260,8 @@ pub enum KernelEvent {
     },
     /// Rebirth, step 2: the elected SP takes the domain over — the
     /// slot revives seeded from the retained member descriptions, the
-    /// orphans re-home to the newborn SP, and (on the message plane)
-    /// their `localsum` confirmations start a
-    /// `routing::RebirthConversation`.
+    /// orphans re-home to the newborn SP, and their `localsum`
+    /// confirmations run as a `routing::RebirthConversation`.
     SpTakeover {
         /// The reborn domain slot.
         domain: usize,
@@ -293,6 +311,11 @@ pub struct SimKernel {
     /// Active ring conversation per domain (at most one at a time).
     ring_of_domain: Vec<Option<u64>>,
     lookups: BTreeMap<u64, LookupConversation>,
+    /// Inline transport (instantaneous mode): messages sent during the
+    /// current delivery, drained in FIFO order by the outermost send.
+    inline: VecDeque<(NodeId, NodeId, Message, u64)>,
+    /// True while the outermost send drains `inline`.
+    draining: bool,
     /// Messages currently in flight (latency mode).
     in_flight: u64,
     /// High-water mark of `in_flight`.
@@ -425,6 +448,8 @@ impl SimKernel {
             rings: BTreeMap::new(),
             ring_of_domain: vec![None; 1],
             lookups: BTreeMap::new(),
+            inline: VecDeque::new(),
+            draining: false,
             in_flight: 0,
             peak_in_flight: 0,
             domain_errors: 0,
@@ -555,6 +580,8 @@ impl SimKernel {
             rings: BTreeMap::new(),
             ring_of_domain: vec![None; n_domains],
             lookups: BTreeMap::new(),
+            inline: VecDeque::new(),
+            draining: false,
             in_flight: 0,
             peak_in_flight: 0,
             domain_errors: 0,
@@ -585,12 +612,6 @@ impl SimKernel {
         if let Some(epoch) = self.ctl.epoch() {
             self.sim.schedule_in(epoch, KernelEvent::ControlTick);
         }
-    }
-
-    /// The current effective α of domain `d` — every α-gated decision
-    /// of the kernel reads this instead of `cfg.alpha`.
-    fn alpha_of(&self, d: usize) -> f64 {
-        self.ctl.alpha(d)
     }
 
     /// Samples one drift interval for peer `p`, scaled by its domain's
@@ -715,19 +736,7 @@ impl SimKernel {
                         st.dirty = true;
                     }
                     if let Some(d) = self.domain_of[idx] {
-                        if self.lat.is_some() {
-                            self.send_push(p, d, 1);
-                        } else {
-                            let alpha = self.alpha_of(d);
-                            if let Err(e) = self.domains[d].on_drift(
-                                p,
-                                alpha,
-                                &mut self.peers,
-                                &mut self.ledger,
-                            ) {
-                                self.note_error(e);
-                            }
-                        }
+                        self.send_push(p, d, 1);
                     }
                     let dt = self.drift_interval(p);
                     self.sim.schedule_in(dt, KernelEvent::Drift(p));
@@ -739,27 +748,16 @@ impl SimKernel {
             KernelEvent::Session(SessionEvent::Leave(p)) => {
                 let idx = p.index();
                 if self.peers[idx].as_ref().is_some_and(|s| s.up) {
-                    // The graceful `v = 2` push leaves the peer's NIC
-                    // just before it disconnects.
-                    if let (Some(d), true) = (self.domain_of[idx], self.lat.is_some()) {
-                        self.send_push(p, d, 2);
-                    }
                     self.peers[idx].as_mut().expect("checked").up = false;
                     if let Some(net) = self.net.as_mut() {
                         net.take_down(p);
                     }
-                    if self.lat.is_none() {
-                        if let Some(d) = self.domain_of[idx] {
-                            let alpha = self.alpha_of(d);
-                            if let Err(e) = self.domains[d].on_leave(
-                                p,
-                                alpha,
-                                &mut self.peers,
-                                &mut self.ledger,
-                            ) {
-                                self.note_error(e);
-                            }
-                        }
+                    // The graceful `v = 2` push. It is sent after the
+                    // peer is marked down (transit does not depend on
+                    // liveness), so an inline delivery already sees the
+                    // departure when its push arms a pull.
+                    if let Some(d) = self.domain_of[idx] {
+                        self.send_push(p, d, 2);
                     }
                 }
             }
@@ -781,16 +779,7 @@ impl SimKernel {
                         net.bring_up(p);
                     }
                     if let Some(d) = self.domain_of[idx] {
-                        if self.lat.is_some() {
-                            self.send_localsum(p, d, SimTime::ZERO, 0);
-                        } else {
-                            let alpha = self.alpha_of(d);
-                            if let Err(e) =
-                                self.domains[d].on_join(p, alpha, &mut self.peers, &mut self.ledger)
-                            {
-                                self.note_error(e);
-                            }
-                        }
+                        self.send_localsum(p, d, SimTime::ZERO, 0);
                     } else if self.cfg.sp_lifetime.is_some() {
                         // A rejoiner whose former domain still awaits a
                         // replacement SP re-triggers the stalled
@@ -814,24 +803,7 @@ impl SimKernel {
                         // surviving one on rejoin (gated on SP churn so
                         // legacy event streams stay byte-identical).
                         else if let Some(d) = self.rehome_orphan(p) {
-                            if self.lat.is_some() {
-                                self.send_localsum(p, d, SimTime::ZERO, 0);
-                            } else {
-                                let bytes = self.peers[idx]
-                                    .as_ref()
-                                    .map(|s| s.data.summary.len())
-                                    .unwrap_or(0);
-                                self.ledger.count(&Message::LocalSum { bytes }, 1);
-                                self.domains[d].apply_localsum(p);
-                                let alpha = self.alpha_of(d);
-                                if let Err(e) = self.domains[d].maybe_reconcile(
-                                    alpha,
-                                    &mut self.peers,
-                                    &mut self.ledger,
-                                ) {
-                                    self.note_error(e);
-                                }
-                            }
+                            self.send_localsum(p, d, SimTime::ZERO, 0);
                         }
                     }
                     let st = self.peers[idx].as_mut().expect("checked");
@@ -844,19 +816,15 @@ impl SimKernel {
                 }
             }
             KernelEvent::LocalQuery { template } => {
-                if self.lat.is_some() {
-                    // The query travels to the (implicit) SP first; its
-                    // processing happens at delivery time.
-                    self.send_msg(
-                        IMPLICIT_SP,
-                        self.sp_node(0),
-                        Message::Query { template },
-                        0,
-                        SimTime::ZERO,
-                    );
-                } else {
-                    self.process_local_query(template, false);
-                }
+                // The query travels to the (implicit) SP first; its
+                // processing happens at delivery time.
+                self.send_msg(
+                    IMPLICIT_SP,
+                    self.sp_node(0),
+                    Message::Query { template },
+                    0,
+                    SimTime::ZERO,
+                );
             }
             KernelEvent::InterQuery { origin, template } => {
                 // Only live peers pose queries; a down origin's sample is
@@ -878,15 +846,12 @@ impl SimKernel {
                 conv,
                 sent_at,
             } => self.deliver(from, to, msg, conv, sent_at),
-            KernelEvent::RingTimeout { conv } => {
-                if self.rings.get(&conv).is_some_and(|rc| !rc.done) {
-                    self.finish_ring(conv);
-                }
-            }
+            KernelEvent::RingTimeout { conv } => self.finish_ring(conv),
             KernelEvent::LookupTimeout { conv } => {
-                if self.lookups.get(&conv).is_some_and(|lc| !lc.done) {
-                    self.finish_lookup(conv);
-                }
+                // The watchdog is a lookup's last reference: once it
+                // fired, the finished conversation is reaped.
+                self.finish_lookup(conv);
+                self.lookups.remove(&conv);
             }
             KernelEvent::SpDeparture { sp } => self.handle_sp_departure_event(sp),
             KernelEvent::SpElection { domain } => self.handle_sp_election(domain),
@@ -919,30 +884,21 @@ impl SimKernel {
             }
             let fallback = self.domains[d].cl.stale_fraction();
             let spent = self.domains[d].delta_bytes_total;
-            let alpha = self.ctl.tick_domain(d, now_s, fallback, spent);
-            if self.lat.is_some() {
-                self.maybe_start_ring(d);
-            } else if let Err(e) =
-                self.domains[d].maybe_reconcile(alpha, &mut self.peers, &mut self.ledger)
-            {
-                self.note_error(e);
-            }
+            self.ctl.tick_domain(d, now_s, fallback, spent);
+            self.maybe_start_ring(d);
         }
         self.sim.schedule_in(epoch, KernelEvent::ControlTick);
     }
 
-    /// The intra-domain workload query body (shared by the synchronous
-    /// path and the latency-mode delivery at the SP). `sp_hop_counted`
-    /// is true on the delivery path, where `send_msg` already counted
-    /// the client→SP query message.
-    fn process_local_query(&mut self, template: usize, sp_hop_counted: bool) {
+    /// An intra-domain workload query arrives at the (implicit) SP,
+    /// which routes it against the GS/CL. The client→SP hop was counted
+    /// when the query was sent; the forwards and answers are counted
+    /// here.
+    fn process_local_query(&mut self, template: usize) {
         let prop = &self.reformulated[template].proposition;
         let outcome = self.domains[0].route_local(prop, self.cfg.policy, &self.peers, template);
-        let sp_hop = u64::from(!sp_hop_counted);
-        self.ledger.count(
-            &Message::Query { template },
-            sp_hop + outcome.visited.len() as u64,
-        );
+        self.ledger
+            .count(&Message::Query { template }, outcome.visited.len() as u64);
         self.ledger
             .count(&Message::QueryHit { results: 1 }, outcome.answered as u64);
         self.ctl.record_query(0, outcome.answered, outcome.real_fp);
@@ -950,7 +906,7 @@ impl SimKernel {
     }
 
     // ------------------------------------------------------------------
-    // The latency message plane: send / deliver plumbing.
+    // The message plane: send / deliver plumbing.
     // ------------------------------------------------------------------
 
     /// The delivery-event node id of a domain's SP.
@@ -962,8 +918,7 @@ impl SimKernel {
     /// topology link when one exists, the construction broadcast-tree
     /// latency for partner↔SP hops, the configured default otherwise
     /// (implicit SP, long links, walk partners).
-    fn hop_latency(&self, a: NodeId, b: NodeId) -> SimTime {
-        let lat = self.lat.expect("latency mode");
+    fn hop_latency(&self, a: NodeId, b: NodeId, lat: &LatencyConfig) -> SimTime {
         if a == IMPLICIT_SP || b == IMPLICIT_SP {
             return lat.default_hop;
         }
@@ -984,12 +939,26 @@ impl SimKernel {
         lat.default_hop
     }
 
-    /// Latency mode: counts the message in the ledger and schedules its
-    /// delivery at `now + transit + extra`.
+    /// Counts the message in the ledger and hands it to the transport.
+    /// Latency mode schedules its delivery at `now + transit + extra`.
+    /// Instantaneous mode delivers it inline: the message joins a FIFO
+    /// that the outermost send drains before returning, so a delivery
+    /// that sends (a push arming a ring, a token hop) runs its follow-ups
+    /// iteratively within the same event.
     fn send_msg(&mut self, from: NodeId, to: NodeId, msg: Message, conv: u64, extra: SimTime) {
-        let lat = self.lat.expect("latency mode");
-        let transit = msg.transit_time(self.hop_latency(from, to), &lat) + extra;
         self.ledger.count(&msg, 1);
+        let Some(lat) = self.lat else {
+            self.inline.push_back((from, to, msg, conv));
+            if !self.draining {
+                self.draining = true;
+                while let Some((from, to, msg, conv)) = self.inline.pop_front() {
+                    self.dispatch(from, to, msg, conv);
+                }
+                self.draining = false;
+            }
+            return;
+        };
+        let transit = msg.transit_time(self.hop_latency(from, to, &lat), &lat) + extra;
         self.in_flight += 1;
         self.peak_in_flight = self.peak_in_flight.max(self.in_flight);
         let sent_at = self.sim.now();
@@ -1025,12 +994,19 @@ impl SimKernel {
         self.send_msg(p, to, Message::LocalSum { bytes }, conv, extra);
     }
 
-    /// Dispatches a delivered message — all protocol effects happen
-    /// here, at delivery time.
+    /// A scheduled (latency-mode) delivery lands: the plane's in-flight
+    /// and latency bookkeeping, then the message's effects.
     fn deliver(&mut self, from: NodeId, to: NodeId, msg: Message, conv: u64, sent_at: SimTime) {
         self.in_flight = self.in_flight.saturating_sub(1);
         let latency = self.sim.now().saturating_sub(sent_at);
         self.ledger.count_delivery(msg.class(), latency);
+        self.dispatch(from, to, msg, conv);
+    }
+
+    /// Dispatches a delivered message to its handler — all protocol
+    /// effects happen here, at delivery time, whichever transport
+    /// carried it.
+    fn dispatch(&mut self, from: NodeId, to: NodeId, msg: Message, conv: u64) {
         match msg {
             Message::Push { value } => self.deliver_push(from, value),
             Message::LocalSum { .. } if conv != 0 && self.rebirth_convs.contains_key(&conv) => {
@@ -1041,9 +1017,8 @@ impl SimKernel {
             Message::Query { template } => {
                 if self.net.is_none() {
                     // Single-domain mode: the implicit SP processes the
-                    // workload query on arrival (its own hop was
-                    // counted at send time).
-                    self.process_local_query(template, true);
+                    // workload query on arrival.
+                    self.process_local_query(template);
                 } else {
                     self.deliver_query_at_sp(conv, to);
                 }
@@ -1086,15 +1061,16 @@ impl SimKernel {
     // Reconciliation rings as conversations.
     // ------------------------------------------------------------------
 
-    /// Starts a ring conversation when α crossed and none is running.
-    /// The route covers only the *stale* live members (§4.2.2's pull
-    /// needs nothing from fresh ones — their contributions already sit
-    /// in the SP's accumulator).
+    /// Starts a ring conversation when the domain's *effective* α (read
+    /// from the control plane, not `cfg.alpha`) is crossed and none is
+    /// running — the kernel's one α-gated decision. The route covers
+    /// only the *stale* live members (§4.2.2's pull needs nothing from
+    /// fresh ones — their contributions already sit in the SP's
+    /// accumulator).
     fn maybe_start_ring(&mut self, d: usize) {
-        let Some(lat) = self.lat else { return };
         if self.domains[d].dissolved
             || self.ring_of_domain[d].is_some()
-            || !self.domains[d].cl.needs_reconciliation(self.alpha_of(d))
+            || !self.domains[d].cl.needs_reconciliation(self.ctl.alpha(d))
         {
             return;
         }
@@ -1126,8 +1102,16 @@ impl SimKernel {
             conv,
             SimTime::ZERO,
         );
-        self.sim
-            .schedule_in(lat.conversation_timeout, KernelEvent::RingTimeout { conv });
+        self.schedule_watchdog(KernelEvent::RingTimeout { conv });
+    }
+
+    /// Schedules a conversation watchdog on the message plane. Inline
+    /// delivery completes every conversation within its event, so it
+    /// needs none.
+    fn schedule_watchdog(&mut self, ev: KernelEvent) {
+        if let Some(lat) = self.lat {
+            self.sim.schedule_in(lat.conversation_timeout, ev);
+        }
     }
 
     /// The token arrives at its next hop (or back at the SP).
@@ -1135,9 +1119,6 @@ impl SimKernel {
         let Some(rc) = self.rings.get(&conv) else {
             return;
         };
-        if rc.done {
-            return;
-        }
         let d = rc.domain;
         let sp = self.sp_node(d);
         if to == sp {
@@ -1153,11 +1134,7 @@ impl SimKernel {
         if !st.up {
             return;
         }
-        let snap = SummarySnapshot {
-            peer: to,
-            summary: st.data.summary.clone(),
-            match_bits: st.data.match_bits,
-        };
+        let snap = SummarySnapshot::of(to, st);
         let rc = self.rings.get_mut(&conv).expect("checked above");
         rc.gathered.push(snap);
         let next = rc.route.pop_front();
@@ -1173,18 +1150,13 @@ impl SimKernel {
     }
 
     /// Completes a ring (token returned, or watchdog): the SP stores
-    /// `NewGS` from the gathered snapshots and resets the CL.
+    /// `NewGS` from the gathered snapshots and resets the CL. A ring
+    /// that already completed, or was cancelled, is gone: no-op.
     fn finish_ring(&mut self, conv: u64) {
-        let Some(rc) = self.rings.get_mut(&conv) else {
+        let Some(rc) = self.rings.remove(&conv) else {
             return;
         };
-        if rc.done {
-            return;
-        }
-        rc.done = true;
-        let d = rc.domain;
-        let gathered = std::mem::take(&mut rc.gathered);
-        self.rings.remove(&conv);
+        let (d, gathered) = (rc.domain, rc.gathered);
         if self.ring_of_domain[d] == Some(conv) {
             self.ring_of_domain[d] = None;
         }
@@ -1208,7 +1180,6 @@ impl SimKernel {
 
     /// Poses an inter-domain lookup on the message plane.
     fn start_lookup(&mut self, origin: NodeId, template: usize) {
-        let Some(lat) = self.lat else { return };
         let Some(home) = self.domain_of.get(origin.index()).copied().flatten() else {
             return;
         };
@@ -1222,10 +1193,7 @@ impl SimKernel {
         let lc = LookupConversation::new(origin, template, need, self.sim.now(), results_total);
         self.lookups.insert(conv, lc);
         self.schedule_domain_query(conv, home, origin, SimTime::ZERO);
-        self.sim.schedule_in(
-            lat.conversation_timeout,
-            KernelEvent::LookupTimeout { conv },
-        );
+        self.schedule_watchdog(KernelEvent::LookupTimeout { conv });
     }
 
     /// Sends this lookup's query to one domain's SP (once per domain).
@@ -1294,7 +1262,7 @@ impl SimKernel {
         // re-validated on arrival (the peer may churn out in flight).
         let lat = self.lat.expect("latency mode");
         for &p in &answering {
-            let fwd = Message::Query { template }.transit_time(self.hop_latency(to, p), &lat);
+            let fwd = Message::Query { template }.transit_time(self.hop_latency(to, p, &lat), &lat);
             {
                 let lc = self.lookups.get_mut(&conv).expect("checked above");
                 lc.branches += 1;
@@ -1507,11 +1475,10 @@ impl SimKernel {
                 members.push(m);
             }
         }
-        // Cancel the domain's in-flight ring, if any.
+        // Cancel the domain's in-flight ring, if any: late token
+        // deliveries and its watchdog find nothing and no-op.
         if let Some(conv) = self.ring_of_domain[d].take() {
-            if let Some(rc) = self.rings.get_mut(&conv) {
-                rc.done = true;
-            }
+            self.rings.remove(&conv);
         }
         // A reborn domain's SP can itself depart while the hand-over
         // confirmations are still in flight: cancel that conversation.
@@ -1549,10 +1516,9 @@ impl SimKernel {
         }
         // Re-homes: graceful partners act on the release; failed-SP
         // partners discover the failure on their next (timed-out) push.
-        let delay = match (graceful, self.lat) {
-            (true, _) => SimTime::ZERO,
-            (false, Some(lat)) => lat.conversation_timeout,
-            (false, None) => SimTime::ZERO,
+        let delay = match self.lat {
+            Some(lat) if !graceful => lat.conversation_timeout,
+            _ => SimTime::ZERO,
         };
         for m in members {
             let new_sp = self.topo.as_ref().expect("networked kernel").assignment[m.index()];
@@ -1560,24 +1526,7 @@ impl SimKernel {
                 Some(nsp) => {
                     let nd = self.sp_index[&nsp];
                     self.domain_of[m.index()] = Some(nd);
-                    if self.lat.is_some() {
-                        self.send_localsum(m, nd, delay, 0);
-                    } else {
-                        let bytes = self.peers[m.index()]
-                            .as_ref()
-                            .map(|s| s.data.summary.len())
-                            .unwrap_or(0);
-                        self.ledger.count(&Message::LocalSum { bytes }, 1);
-                        self.domains[nd].apply_localsum(m);
-                        let alpha = self.alpha_of(nd);
-                        if let Err(e) = self.domains[nd].maybe_reconcile(
-                            alpha,
-                            &mut self.peers,
-                            &mut self.ledger,
-                        ) {
-                            self.note_error(e);
-                        }
-                    }
+                    self.send_localsum(m, nd, delay, 0);
                 }
                 None => {
                     self.domain_of[m.index()] = None;
@@ -1667,10 +1616,10 @@ impl SimKernel {
         // Graceful: the release names the hand-over, so the election
         // starts one hop later. Failed: partners first discover the
         // failure (their next push times out).
-        let delay = match (graceful, self.lat) {
-            (true, Some(lat)) => lat.default_hop,
-            (false, Some(lat)) => lat.conversation_timeout,
-            (_, None) => SimTime::ZERO,
+        let delay = match self.lat {
+            Some(lat) if graceful => lat.default_hop,
+            Some(lat) => lat.conversation_timeout,
+            None => SimTime::ZERO,
         };
         self.sim
             .schedule_in(delay, KernelEvent::SpElection { domain: d });
@@ -1740,10 +1689,10 @@ impl SimKernel {
     /// re-homed partners' distances, and the domain slot revives
     /// seeded from the retained descriptions — members whose push
     /// invariant survived the hand-over re-enter `Fresh`, everyone
-    /// else stale, so the first α-gated pull is a delta. On the
-    /// message plane the members' `localsum` confirmations run as a
-    /// [`RebirthConversation`] with a watchdog; in instantaneous mode
-    /// they apply (and may arm the first pull) on the spot.
+    /// else stale, so the first α-gated pull is a delta. The members'
+    /// `localsum` confirmations run as a [`RebirthConversation`]
+    /// (with a watchdog on the message plane; inline delivery
+    /// completes it before the takeover event ends).
     fn handle_sp_takeover(&mut self, d: usize, ns: NodeId) {
         let Some(seed) = self.pending_rebirths.remove(&d) else {
             return;
@@ -1831,41 +1780,22 @@ impl SimKernel {
         self.rebirths += 1;
         self.record_domain_count();
         // Re-home confirmations: every live member ships its `localsum`
-        // to the newborn SP.
-        if let Some(lat) = self.lat {
-            if !live.is_empty() {
-                let conv = self.next_conv;
-                self.next_conv += 1;
-                self.rebirth_convs.insert(
-                    conv,
-                    RebirthConversation {
-                        domain: d,
-                        outstanding: live.len() as u64,
-                        done: false,
-                    },
-                );
-                for &m in &live {
-                    self.send_localsum(m, d, SimTime::ZERO, conv);
-                }
-                self.sim.schedule_in(
-                    lat.conversation_timeout,
-                    KernelEvent::RebirthTimeout { conv },
-                );
-            }
-        } else {
+        // to the newborn SP; the last arrival may arm the first pull.
+        if !live.is_empty() {
+            let conv = self.next_conv;
+            self.next_conv += 1;
+            self.rebirth_convs.insert(
+                conv,
+                RebirthConversation {
+                    domain: d,
+                    outstanding: live.len() as u64,
+                    done: false,
+                },
+            );
             for &m in &live {
-                let bytes = self.peers[m.index()]
-                    .as_ref()
-                    .map(|s| s.data.summary.len())
-                    .unwrap_or(0);
-                self.ledger.count(&Message::LocalSum { bytes }, 1);
+                self.send_localsum(m, d, SimTime::ZERO, conv);
             }
-            let alpha = self.alpha_of(d);
-            if let Err(e) =
-                self.domains[d].maybe_reconcile(alpha, &mut self.peers, &mut self.ledger)
-            {
-                self.note_error(e);
-            }
+            self.schedule_watchdog(KernelEvent::RebirthTimeout { conv });
         }
     }
 
@@ -2628,6 +2558,75 @@ mod tests {
         assert!(k.domains[0].reconciliations > 0, "token rings completed");
         let report = k.single_report();
         assert_eq!(report.queries, 30, "all workload queries processed");
+    }
+
+    /// Advances `k` to its horizon in `run_until` slices of `step`,
+    /// calling `check` between slices.
+    fn run_in_slices(k: &mut SimKernel, step: SimTime, mut check: impl FnMut(&SimKernel)) {
+        let horizon = k.cfg.horizon;
+        while k.now() < horizon {
+            let next = (k.now() + step).min(horizon);
+            k.run_until(next);
+            check(k);
+        }
+    }
+
+    #[test]
+    fn inline_transport_completes_every_conversation_within_its_event() {
+        use p2psim::churn::LifetimeDistribution;
+        // SP churn with rebirth: drift, leave, join, re-home, takeover
+        // and control traffic all run through the inline transport.
+        let mut c = cfg(130, 12);
+        c.sp_lifetime = Some(LifetimeDistribution::Exponential { mean_s: 3600.0 });
+        c.rebirth = true;
+        let mut k = SimKernel::networked(c, 25, Some(LookupTarget::Total)).unwrap();
+        run_in_slices(&mut k, SimTime::from_secs(60), |k| {
+            assert!(k.rings.is_empty(), "a ring outlived its event");
+            assert!(k.ring_of_domain.iter().all(Option::is_none));
+            assert!(k.rebirth_convs.is_empty(), "a hand-over outlived its event");
+            assert!(k.inline.is_empty() && !k.draining, "inline queue drained");
+            assert_eq!(k.peak_in_flight(), 0, "nothing is ever in flight");
+            assert!(k.ledger.latency_counters().is_empty());
+        });
+        assert_eq!(k.error_status(), (0, None));
+        assert!(k.rebirths() > 0, "the run exercised rebirth hand-overs");
+        let rounds: u64 = k.domains.iter().map(|d| d.reconciliations).sum();
+        assert!(rounds > 0, "the run exercised rings");
+        assert!(k.multi_report().latency_by_class.is_empty());
+    }
+
+    #[test]
+    fn finished_conversations_are_reaped_by_their_watchdogs() {
+        use crate::config::{DeliveryMode, LatencyConfig};
+        use p2psim::churn::LifetimeDistribution;
+        let mut c = cfg(130, 13);
+        c.delivery = DeliveryMode::Latency(LatencyConfig::wan_default());
+        c.sp_lifetime = Some(LifetimeDistribution::Exponential { mean_s: 3600.0 });
+        let timeout = LatencyConfig::wan_default().conversation_timeout;
+        let mut k = SimKernel::networked(c, 25, Some(LookupTarget::Total)).unwrap();
+        // Rings carry no start time: note when each was first seen.
+        let mut first_seen: BTreeMap<u64, SimTime> = BTreeMap::new();
+        run_in_slices(&mut k, SimTime::from_secs(60), |k| {
+            for &conv in k.rings.keys() {
+                first_seen.entry(conv).or_insert(k.now());
+            }
+        });
+        let horizon = c.horizon;
+        assert!(!k.inter_outcomes.is_empty(), "lookups completed");
+        for lc in k.lookups.values() {
+            assert!(
+                horizon.saturating_sub(lc.started) <= timeout,
+                "a lookup from {} outlived its watchdog",
+                lc.started
+            );
+        }
+        for conv in k.rings.keys() {
+            let seen = first_seen[conv];
+            assert!(
+                horizon.saturating_sub(seen) <= timeout,
+                "a ring seen at {seen} outlived its watchdog"
+            );
+        }
     }
 
     #[test]

@@ -65,7 +65,7 @@ use crate::coop::CooperationList;
 use crate::error::P2pError;
 use crate::freshness::Freshness;
 use crate::messages::Message;
-use crate::routing::{route_query_scoped, QueryOutcome, RoutingPolicy};
+use crate::routing::{route_query_scoped, QueryOutcome, RingConversation, RoutingPolicy};
 use crate::workload::PeerData;
 
 /// The CBK name every generated summary binds to.
@@ -225,11 +225,11 @@ impl MessageLedger {
     }
 }
 
-/// One member's summary snapshot as carried by a latency-mode
-/// reconciliation token: the member's local summary and match bits *at
-/// the virtual time the token passed through it*. If the member drifts
-/// or departs after its token hop, the stored GS keeps describing this
-/// snapshot — exactly the staleness window instantaneous delivery hides.
+/// One member's summary snapshot as carried by a reconciliation token:
+/// the member's local summary and match bits *at the virtual time the
+/// token passed through it*. If the member drifts or departs after its
+/// token hop (possible only on the latency plane, where hops take
+/// time), the stored GS keeps describing this snapshot.
 #[derive(Debug, Clone)]
 pub struct SummarySnapshot {
     /// The member the token visited.
@@ -238,6 +238,17 @@ pub struct SummarySnapshot {
     pub summary: Bytes,
     /// Its exact match bits at token-pass time.
     pub match_bits: u32,
+}
+
+impl SummarySnapshot {
+    /// `peer`'s current local summary and match bits.
+    pub fn of(peer: NodeId, st: &PeerState) -> Self {
+        Self {
+            peer,
+            summary: st.data.summary.clone(),
+            match_bits: st.data.match_bits,
+        }
+    }
 }
 
 /// Immutable peer lookup that maps a missing slot to [`P2pError`].
@@ -427,122 +438,49 @@ impl DomainCore {
         Ok(acc.build_merged())
     }
 
-    /// §4.2.2's pull phase, fired when the CL crosses α. Returns true
-    /// when a reconciliation round ran.
-    pub fn maybe_reconcile(
-        &mut self,
-        alpha: f64,
-        peers: &mut [Option<PeerState>],
-        ledger: &mut MessageLedger,
-    ) -> Result<bool, P2pError> {
-        if !self.cl.needs_reconciliation(alpha) {
-            return Ok(false);
-        }
-        self.reconcile(peers, ledger)?;
-        Ok(true)
-    }
-
-    /// Runs one reconciliation round unconditionally: the token ring
-    /// visits only the *stale* live members (plus the final store hop),
-    /// each visited member's summary replaces its accumulator entry,
-    /// departed members' contributions are expired, and the CL resets
-    /// to the live membership.
+    /// Runs one reconciliation round unconditionally and synchronously
+    /// — the probe form of §4.2.2's pull behind
+    /// [`crate::kernel::SimKernel::reconcile_all`]. The token visits
+    /// every *stale* live member in id order (the ring's route), each
+    /// member's summary is snapshotted on the spot, and
+    /// [`DomainCore::reconcile_from_snapshots`] does the merge and the CL
+    /// reset exactly as at the end of a ring.
     ///
     /// Token bytes are charged per hop at the token's *cumulative* size
     /// — `NewGS` grows as it collects the stale members' summaries, so
     /// early hops are cheap and the final store hop carries everything,
-    /// matching `routing::RingConversation::token_bytes` on
-    /// the latency plane. A round that visits nobody (every stale entry
-    /// was a departed member) circulates no token at all — the SP just
-    /// expires them and stores locally, exactly like the latency
-    /// plane's empty-route case.
+    /// matching `routing::RingConversation::token_bytes`. A round that
+    /// visits nobody (every stale entry was a departed member)
+    /// circulates no token at all — the SP just expires them and stores
+    /// locally.
     pub fn reconcile(
         &mut self,
         peers: &mut [Option<PeerState>],
         ledger: &mut MessageLedger,
     ) -> Result<ReconcileWork, P2pError> {
-        let mut work = ReconcileWork::default();
-        let mut token_bytes = 0usize;
-        let members = self.members.clone();
-        for m in members {
-            if !peer_up(peers, m) {
-                if self.expire_member(m, peers) {
-                    work.removed += 1;
-                }
-                continue;
-            }
-            // Live and fresh: the stored contribution is current (drift
-            // always flags before the next pull); skip the hop. Members
-            // missing from the CL (pre-enrollment state) are pulled.
-            let stale = self.cl.freshness(m).is_none_or(|f| f.as_stale_bit());
-            if !stale {
-                work.skipped += 1;
-                continue;
-            }
+        let route = RingConversation::stale_route(&self.cl, |m| peer_up(peers, m));
+        let mut ring = RingConversation::new(0, route);
+        while let Some(m) = ring.route.pop_front() {
             // The hop *to* this member carries the token gathered so far.
-            ledger.count(
-                &Message::ReconciliationToken {
-                    bytes: token_bytes.max(64),
-                },
-                1,
-            );
-            let pulled = self.pull_member(m, peers)?;
-            token_bytes += pulled;
-            work.merged += 1;
-            work.delta_bytes += pulled as u64;
+            let bytes = ring.token_bytes();
+            ledger.count(&Message::ReconciliationToken { bytes }, 1);
+            ring.gathered
+                .push(SummarySnapshot::of(m, peer_ref(peers, m)?));
         }
         // The final hop returns the gathered token to the SP — unless
         // no member was visited, in which case no token ever left it.
-        if work.merged > 0 {
-            ledger.count(
-                &Message::ReconciliationToken {
-                    bytes: token_bytes.max(64),
-                },
-                1,
-            );
+        if !ring.gathered.is_empty() {
+            let bytes = ring.token_bytes();
+            ledger.count(&Message::ReconciliationToken { bytes }, 1);
         }
-        self.store_merged();
-        self.cl.reconcile(|p| peer_up(peers, p));
-        ledger.count_reconcile_work(work);
-        self.delta_bytes_total += work.delta_bytes;
-        self.reconciliations += 1;
-        Ok(work)
+        self.reconcile_from_snapshots(&ring.gathered, peers, ledger)
     }
 
-    /// A member's data drifted: its freshness flag is pushed (§4.2.1).
-    /// The caller regenerates the data and re-schedules the drift timer.
-    pub fn on_drift(
-        &mut self,
-        peer: NodeId,
-        alpha: f64,
-        peers: &mut [Option<PeerState>],
-        ledger: &mut MessageLedger,
-    ) -> Result<(), P2pError> {
-        ledger.count(&Message::Push { value: 1 }, 1);
-        self.cl.set_freshness(peer, Freshness::NeedsRefresh);
-        self.maybe_reconcile(alpha, peers, ledger)?;
-        Ok(())
-    }
-
-    /// A member leaves gracefully: §4.3's `v = 2` push.
-    pub fn on_leave(
-        &mut self,
-        peer: NodeId,
-        alpha: f64,
-        peers: &mut [Option<PeerState>],
-        ledger: &mut MessageLedger,
-    ) -> Result<(), P2pError> {
-        ledger.count(&Message::Push { value: 2 }, 1);
-        self.cl.set_freshness(peer, Freshness::Unavailable);
-        self.maybe_reconcile(alpha, peers, ledger)?;
-        Ok(())
-    }
-
-    /// Latency-mode arrival of a freshness push at the SP: the CL
-    /// transition alone. The α check and the ring *conversation* live in
-    /// the kernel, which owns the virtual clock; message accounting
-    /// happened at send time. A push from a non-member (e.g. one that
-    /// was removed while the push was in flight) is dropped.
+    /// Arrival of a freshness push at the SP: the CL transition alone.
+    /// The α check and the ring *conversation* live in the kernel;
+    /// message accounting happened at send time. A push from a
+    /// non-member (e.g. one that was removed while the push was in
+    /// flight) is dropped. Returns whether the CL changed.
     pub fn apply_push(&mut self, peer: NodeId, freshness: Freshness) -> bool {
         if self.dissolved {
             return false;
@@ -550,10 +488,10 @@ impl DomainCore {
         self.cl.set_freshness(peer, freshness)
     }
 
-    /// Latency-mode arrival of a (re)joining member's `localsum` at the
-    /// SP: the member enters the CL stale, awaiting the next pull. If
-    /// the peer was never a member of this domain (an SP-churn re-home),
-    /// it also enters the member list.
+    /// Arrival of a (re)joining member's `localsum` at the SP: the
+    /// member enters the CL stale, awaiting the next pull. If the peer
+    /// is not a member of this domain (a rejoin after a pull dropped
+    /// it, or an SP-churn re-home), it also enters the member list.
     pub fn apply_localsum(&mut self, peer: NodeId) -> bool {
         if self.dissolved {
             return false;
@@ -565,9 +503,10 @@ impl DomainCore {
         true
     }
 
-    /// Latency-mode completion of a reconciliation ring: each gathered
-    /// snapshot replaces its member's accumulator entry, and the SP
-    /// stores the rebuilt merged view. Members the token *missed* (it
+    /// Completion of a reconciliation ring (or of a synchronous
+    /// [`DomainCore::reconcile`]): each gathered snapshot replaces its
+    /// member's accumulator entry, and the SP stores the rebuilt merged
+    /// view. Members the token *missed* (it
     /// was dropped at a churned-out peer and the watchdog fired) keep
     /// both their stale flags *and* their previous GS contributions if
     /// they are up — α re-arms a follow-up ring while the old
@@ -629,22 +568,6 @@ impl DomainCore {
         Ok(work)
     }
 
-    /// A member rejoins: ships its `localsum` and awaits the next pull
-    /// before the GS describes it.
-    pub fn on_join(
-        &mut self,
-        peer: NodeId,
-        alpha: f64,
-        peers: &mut [Option<PeerState>],
-        ledger: &mut MessageLedger,
-    ) -> Result<(), P2pError> {
-        let bytes = peer_ref(peers, peer)?.data.summary.len();
-        ledger.count(&Message::LocalSum { bytes }, 1);
-        self.cl.add_partner(peer, Freshness::NeedsRefresh);
-        self.maybe_reconcile(alpha, peers, ledger)?;
-        Ok(())
-    }
-
     /// Routes one query against this domain's current GS/CL state and
     /// scores it against exact ground truth over the member set.
     pub fn route_local(
@@ -703,6 +626,24 @@ mod tests {
         (core, peers)
     }
 
+    /// A push arriving at the SP, followed by the kernel's α check: the
+    /// pull runs when the CL crosses `alpha`. Returns whether it ran.
+    fn push_then_gate(
+        core: &mut DomainCore,
+        peers: &mut [Option<PeerState>],
+        ledger: &mut MessageLedger,
+        p: u32,
+        f: Freshness,
+        alpha: f64,
+    ) -> bool {
+        assert!(core.apply_push(NodeId(p), f), "push from a member");
+        if !core.cl.needs_reconciliation(alpha) {
+            return false;
+        }
+        core.reconcile(peers, ledger).unwrap();
+        true
+    }
+
     /// Regenerates peer `p`'s data (simulated drift) and flags it.
     fn drift(core: &mut DomainCore, peers: &mut [Option<PeerState>], p: u32, seed: u64) {
         let bk = BackgroundKnowledge::medical_cbk();
@@ -737,9 +678,16 @@ mod tests {
         core.enroll_all(&mut peers, &mut ledger).unwrap();
 
         peers[3].as_mut().unwrap().up = false;
-        core.on_leave(NodeId(3), 1.1, &mut peers, &mut ledger)
-            .unwrap();
-        assert_eq!(ledger.sent(MessageClass::Push), 1);
+        let pulled = push_then_gate(
+            &mut core,
+            &mut peers,
+            &mut ledger,
+            3,
+            Freshness::Unavailable,
+            1.1,
+        );
+        assert!(!pulled, "α = 1.1 never fires");
+        assert_eq!(core.cl.freshness(NodeId(3)), Some(Freshness::Unavailable));
         assert_eq!(
             core.gs.all_sources().len(),
             10,
@@ -766,13 +714,27 @@ mod tests {
         core.enroll_all(&mut peers, &mut ledger).unwrap();
         // 2 of 10 stale: below α = 0.3.
         for p in [0u32, 1] {
-            core.on_drift(NodeId(p), 0.3, &mut peers, &mut ledger)
-                .unwrap();
+            let f = Freshness::NeedsRefresh;
+            assert!(!push_then_gate(
+                &mut core,
+                &mut peers,
+                &mut ledger,
+                p,
+                f,
+                0.3
+            ));
         }
         assert_eq!(core.reconciliations, 0);
         // The third crosses 0.3.
-        core.on_drift(NodeId(2), 0.3, &mut peers, &mut ledger)
-            .unwrap();
+        let f = Freshness::NeedsRefresh;
+        assert!(push_then_gate(
+            &mut core,
+            &mut peers,
+            &mut ledger,
+            2,
+            f,
+            0.3
+        ));
         assert_eq!(core.reconciliations, 1);
         assert_eq!(core.cl.stale_fraction(), 0.0, "reset after the pull");
         // The ring visited exactly the 3 stale members.
@@ -856,14 +818,7 @@ mod tests {
         peers[4].as_mut().unwrap().up = false;
         // The token visited members 0..3 and was dropped before 3..6.
         let gathered: Vec<SummarySnapshot> = (0..3u32)
-            .map(|p| {
-                let st = peers[p as usize].as_ref().unwrap();
-                SummarySnapshot {
-                    peer: NodeId(p),
-                    summary: st.data.summary.clone(),
-                    match_bits: st.data.match_bits,
-                }
-            })
+            .map(|p| SummarySnapshot::of(NodeId(p), peers[p as usize].as_ref().unwrap()))
             .collect();
         core.reconcile_from_snapshots(&gathered, &mut peers, &mut ledger)
             .unwrap();
@@ -960,14 +915,7 @@ mod tests {
         let mut ledger = MessageLedger::new();
         core.enroll_all(&mut peers, &mut ledger).unwrap();
         // Snapshot peer 1, then drift it after the token passed.
-        let snap = {
-            let st = peers[1].as_ref().unwrap();
-            SummarySnapshot {
-                peer: NodeId(1),
-                summary: st.data.summary.clone(),
-                match_bits: st.data.match_bits,
-            }
-        };
+        let snap = SummarySnapshot::of(NodeId(1), peers[1].as_ref().unwrap());
         drift(&mut core, &mut peers, 1, 400);
         peers[1].as_mut().unwrap().dirty = true;
         core.reconcile_from_snapshots(&[snap], &mut peers, &mut ledger)
@@ -977,14 +925,7 @@ mod tests {
             "a post-snapshot drift keeps the dirty bit"
         );
         // A current snapshot clears it.
-        let snap2 = {
-            let st = peers[1].as_ref().unwrap();
-            SummarySnapshot {
-                peer: NodeId(1),
-                summary: st.data.summary.clone(),
-                match_bits: st.data.match_bits,
-            }
-        };
+        let snap2 = SummarySnapshot::of(NodeId(1), peers[1].as_ref().unwrap());
         core.reconcile_from_snapshots(&[snap2], &mut peers, &mut ledger)
             .unwrap();
         assert!(!peers[1].as_ref().unwrap().dirty);
@@ -1008,9 +949,14 @@ mod tests {
         core.members.push(NodeId(40)); // no backing slot
         let err = core.enroll_all(&mut peers, &mut ledger);
         assert_eq!(err, Err(P2pError::UnknownPeer(40)));
-        // on_join against an unknown peer errors cleanly too.
-        let err = core.on_join(NodeId(77), 1.1, &mut peers, &mut ledger);
-        assert_eq!(err, Err(P2pError::UnknownPeer(77)));
+        // A `localsum` from a peer without state is admitted stale but
+        // never pulled (it is not up): the next round expires it.
+        core.members.retain(|&m| m != NodeId(40));
+        assert!(core.apply_localsum(NodeId(77)));
+        let work = core.reconcile(&mut peers, &mut ledger).unwrap();
+        assert_eq!(work.merged, 0);
+        assert!(!core.cl.contains(NodeId(77)));
+        assert!(!core.members.contains(&NodeId(77)));
     }
 
     #[test]
@@ -1035,14 +981,23 @@ mod tests {
         core.enroll_all(&mut peers, &mut ledger).unwrap();
 
         peers[5].as_mut().unwrap().up = false;
-        core.on_leave(NodeId(5), 1.1, &mut peers, &mut ledger)
-            .unwrap();
+        let f = Freshness::Unavailable;
+        assert!(!push_then_gate(
+            &mut core,
+            &mut peers,
+            &mut ledger,
+            5,
+            f,
+            1.1
+        ));
         core.reconcile(&mut peers, &mut ledger).unwrap();
         assert!(!core.cl.contains(NodeId(5)));
+        assert!(!core.members.contains(&NodeId(5)), "pull drops departed");
 
         peers[5].as_mut().unwrap().up = true;
-        core.on_join(NodeId(5), 1.1, &mut peers, &mut ledger)
-            .unwrap();
+        assert!(core.apply_localsum(NodeId(5)));
+        assert!(!core.cl.needs_reconciliation(1.1));
+        assert!(core.members.contains(&NodeId(5)), "rejoin re-enters");
         assert_eq!(core.cl.freshness(NodeId(5)), Some(Freshness::NeedsRefresh));
         assert_eq!(
             core.gs.all_sources().len(),

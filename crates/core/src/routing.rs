@@ -63,14 +63,15 @@ pub struct QueryOutcome {
     pub messages: u64,
 }
 
-/// State of one latency-mode reconciliation ring (§4.2.2 as a
-/// multi-event conversation): the token hops from *stale* live member
-/// to stale live member as scheduled deliveries, gathering summary
-/// snapshots — fresh members are not visited at all, since their
-/// contributions already sit in the SP's accumulator (incremental GS
-/// maintenance; see [`crate::peerstate`]). A hop that lands on a
-/// churned-out peer silently drops the token; the SP's watchdog then
-/// completes the pull with whatever was gathered.
+/// State of one reconciliation ring (§4.2.2 as a conversation): the
+/// token hops from *stale* live member to stale live member as
+/// deliveries, gathering summary snapshots — fresh members are not
+/// visited at all, since their contributions already sit in the SP's
+/// accumulator (incremental GS maintenance; see [`crate::peerstate`]).
+/// On the message plane a hop that lands on a churned-out peer
+/// silently drops the token and the SP's watchdog then completes the
+/// pull with whatever was gathered; inline delivery runs the whole
+/// ring within the event that started it.
 #[derive(Debug)]
 pub(crate) struct RingConversation {
     /// The domain running the ring.
@@ -79,19 +80,18 @@ pub(crate) struct RingConversation {
     pub route: VecDeque<NodeId>,
     /// Snapshots collected so far, in visit order.
     pub gathered: Vec<SummarySnapshot>,
-    /// Set once the SP stored `NewGS` (completion or watchdog): late
-    /// token deliveries and the unfired watchdog become no-ops.
-    pub done: bool,
 }
 
 impl RingConversation {
-    /// A ring over the given hop order.
+    /// A ring over the given hop order. The kernel drops the
+    /// conversation once the SP stored `NewGS` (completion or watchdog)
+    /// or the domain dissolved, so late token deliveries and an unfired
+    /// watchdog find nothing and no-op.
     pub fn new(domain: usize, route: Vec<NodeId>) -> Self {
         Self {
             domain,
             route: route.into(),
             gathered: Vec::new(),
-            done: false,
         }
     }
 

@@ -78,6 +78,19 @@ enum Op {
     Dissolve,
 }
 
+/// The SP's α check after a push or `localsum` lands — the kernel's
+/// `maybe_start_ring`, with the ring run synchronously.
+fn gate(
+    core: &mut DomainCore,
+    peers: &mut [Option<PeerState>],
+    ledger: &mut MessageLedger,
+    alpha: f64,
+) {
+    if core.cl.needs_reconciliation(alpha) {
+        core.reconcile(peers, ledger).expect("reconcile");
+    }
+}
+
 /// Decodes one `(kind, peer, seed)` sample into an operation. Kinds are
 /// weighted so pulls are common and dissolution is rare (it ends the
 /// domain's useful life).
@@ -167,15 +180,15 @@ proptest! {
                 Op::Drift(p, s) => {
                     if peers[p as usize].as_ref().is_some_and(|st| st.up) {
                         regenerate(&mut peers, p, s);
-                        core.on_drift(NodeId(p), alpha, &mut peers, &mut ledger)
-                            .expect("drift");
+                        core.apply_push(NodeId(p), Freshness::NeedsRefresh);
+                        gate(&mut core, &mut peers, &mut ledger, alpha);
                     }
                 }
                 Op::Leave(p) => {
                     if peers[p as usize].as_ref().is_some_and(|st| st.up) {
                         peers[p as usize].as_mut().expect("slot").up = false;
-                        core.on_leave(NodeId(p), alpha, &mut peers, &mut ledger)
-                            .expect("leave");
+                        core.apply_push(NodeId(p), Freshness::Unavailable);
+                        gate(&mut core, &mut peers, &mut ledger, alpha);
                     }
                 }
                 Op::Crash(p) => {
@@ -184,20 +197,17 @@ proptest! {
                     }
                 }
                 Op::Rejoin(p) => {
-                    let down = peers[p as usize].as_ref().is_some_and(|st| !st.up);
-                    if down && core.members.contains(&NodeId(p)) {
-                        peers[p as usize].as_mut().expect("slot").up = true;
-                        core.on_join(NodeId(p), alpha, &mut peers, &mut ledger)
-                            .expect("rejoin");
-                    } else if down {
-                        // Dropped from the membership while away: walks
-                        // back in like a re-homed orphan.
+                    // Still a member, or dropped from the membership by
+                    // a pull while away: the `localsum` (re-)admits it.
+                    if peers[p as usize].as_ref().is_some_and(|st| !st.up) {
                         peers[p as usize].as_mut().expect("slot").up = true;
                         core.apply_localsum(NodeId(p));
+                        gate(&mut core, &mut peers, &mut ledger, alpha);
                     }
                 }
                 Op::JoinStranger(k) => {
                     core.apply_localsum(NodeId(N + k));
+                    gate(&mut core, &mut peers, &mut ledger, alpha);
                 }
                 Op::Reconcile => {
                     core.reconcile(&mut peers, &mut ledger).expect("reconcile");
@@ -245,14 +255,7 @@ fn partial_ring_leaves_accumulator_consistent() {
     peers[5].as_mut().unwrap().up = false; // crashes before its hop
     let gathered: Vec<SummarySnapshot> = [1u32, 3]
         .iter()
-        .map(|&p| {
-            let st = peers[p as usize].as_ref().unwrap();
-            SummarySnapshot {
-                peer: NodeId(p),
-                summary: st.data.summary.clone(),
-                match_bits: st.data.match_bits,
-            }
-        })
+        .map(|&p| SummarySnapshot::of(NodeId(p), peers[p as usize].as_ref().unwrap()))
         .collect();
     core.reconcile_from_snapshots(&gathered, &mut peers, &mut ledger)
         .expect("partial pull");
