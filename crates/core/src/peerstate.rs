@@ -506,13 +506,15 @@ impl DomainCore {
     /// Completion of a reconciliation ring (or of a synchronous
     /// [`DomainCore::reconcile`]): each gathered snapshot replaces its
     /// member's accumulator entry, and the SP stores the rebuilt merged
-    /// view. Members the token *missed* (it
-    /// was dropped at a churned-out peer and the watchdog fired) keep
-    /// both their stale flags *and* their previous GS contributions if
-    /// they are up — α re-arms a follow-up ring while the old
-    /// descriptions keep serving queries; missed members that are down
-    /// are expired and removed. Token/message accounting happened per
-    /// hop at send time; only the merge work is tallied here.
+    /// view. Members the token *missed* (it was dropped at a churned-out
+    /// peer and the watchdog fired) keep both their stale flags *and*
+    /// their previous GS contributions if they are up — α re-arms a
+    /// follow-up ring while the old descriptions keep serving queries;
+    /// missed members that are down are expired and removed. A visited
+    /// member that drifted after the token passed it keeps its stale
+    /// flag too: the snapshot it contributed is already outdated.
+    /// Token/message accounting happened per hop at send time; only the
+    /// merge work is tallied here.
     pub fn reconcile_from_snapshots(
         &mut self,
         gathered: &[SummarySnapshot],
@@ -548,11 +550,19 @@ impl DomainCore {
         }
         self.store_merged();
         // Token-visited members reset to fresh; unvisited live members
-        // keep their flags (partial pull); unvisited down members drop.
+        // keep their flags (partial pull), and so do visited ones that
+        // drifted after the token passed (still dirty), so their
+        // outdated contributions are pulled again; unvisited down
+        // members drop.
         let stale_survivors: Vec<(NodeId, Freshness)> = self
             .cl
             .partners()
-            .filter(|p| !visited.contains(p) && peer_up(peers, *p))
+            .filter(|p| {
+                peers
+                    .get(p.index())
+                    .and_then(|s| s.as_ref())
+                    .is_some_and(|s| s.up && (s.dirty || !visited.contains(p)))
+            })
             .map(|p| (p, self.cl.freshness(p).unwrap_or(Freshness::NeedsRefresh)))
             .collect();
         self.cl
@@ -924,11 +934,19 @@ mod tests {
             peers[1].as_ref().unwrap().dirty,
             "a post-snapshot drift keeps the dirty bit"
         );
-        // A current snapshot clears it.
-        let snap2 = SummarySnapshot::of(NodeId(1), peers[1].as_ref().unwrap());
-        core.reconcile_from_snapshots(&[snap2], &mut peers, &mut ledger)
-            .unwrap();
+        assert_eq!(
+            core.cl.freshness(NodeId(1)),
+            Some(Freshness::NeedsRefresh),
+            "and its stale flag, so the outdated contribution is pulled again"
+        );
+        // The next pull takes a current snapshot, which clears both, and
+        // the GS matches the from-scratch rebuild again.
+        let work = core.reconcile(&mut peers, &mut ledger).unwrap();
+        assert_eq!(work.merged, 1);
         assert!(!peers[1].as_ref().unwrap().dirty);
+        assert_eq!(core.cl.freshness(NodeId(1)), Some(Freshness::Fresh));
+        let oracle = core.full_rebuild_oracle(&peers).unwrap();
+        assert_eq!(wire::encode(&core.gs), wire::encode(&oracle));
     }
 
     #[test]

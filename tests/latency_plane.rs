@@ -7,9 +7,10 @@ use p2psim::churn::LifetimeDistribution;
 use p2psim::network::MessageClass;
 use p2psim::time::SimTime;
 use summary_p2p::config::{DeliveryMode, SimConfig};
+use summary_p2p::control::ControlPolicy;
 use summary_p2p::domain::DomainSim;
-use summary_p2p::kernel::{LookupTarget, MultiDomainSim};
-use summary_p2p::scenario::with_latency;
+use summary_p2p::kernel::{LookupTarget, MultiDomainSim, SimKernel};
+use summary_p2p::scenario::{scale_churn, with_heterogeneous_drift, with_latency, with_sp_churn};
 
 fn base(n: usize, seed: u64) -> SimConfig {
     let mut c = SimConfig::paper_defaults(n, 0.3);
@@ -191,4 +192,34 @@ fn sp_departures_dissolve_domains_and_rehome_partners() {
     assert_eq!(a.queries, b.queries);
     assert!((a.mean_recall - b.mean_recall).abs() < 1e-12);
     assert_eq!(a.reconciliations, b.reconciliations);
+}
+
+#[test]
+fn post_token_drift_is_pulled_again_under_sp_churn_and_adaptive_alpha() {
+    // The network-latency benchmark workload's settings at 150 peers:
+    // doubled churn, 50 ms hops, SP churn with rebirth, adaptive α and
+    // a per-domain drift spread. A member that drifts after the ring's
+    // token passed it must stay flagged, so the forced pull at the end
+    // re-fetches it and every live GS matches its from-scratch oracle.
+    let mut c = scale_churn(&SimConfig::paper_defaults(150, 0.3), 2.0);
+    c.records_per_peer = 16;
+    c.query_count = 100;
+    c = with_latency(&c, SimTime::from_millis(50));
+    c = with_sp_churn(&c, 2.0 * 3600.0);
+    c.rebirth = true;
+    c.control = Some(ControlPolicy::Adaptive {
+        target_staleness: 0.2,
+        alpha_min: 0.05,
+        alpha_max: 0.9,
+        gain: 0.6,
+        epoch_s: 600.0,
+    });
+    c = with_heterogeneous_drift(&c, 4.0);
+    c.horizon = SimTime::from_hours(2);
+    c.seed = 7;
+    let mut k = SimKernel::networked(c, 25, Some(LookupTarget::Total)).unwrap();
+    k.run_until(c.horizon);
+    assert_eq!(k.error_status(), (0, None));
+    k.reconcile_all();
+    assert_eq!(k.live_gs_matches_oracle(), Ok(true));
 }
