@@ -1900,10 +1900,11 @@ impl SimKernel {
 
     /// Debug / verification probe: checks every live domain's
     /// incrementally maintained GS against its from-scratch
-    /// [`DomainCore::full_rebuild_oracle`], byte-for-byte. After a
-    /// completed reconciliation round in instantaneous mode the two
-    /// must agree — including for domains reborn from retained
-    /// descriptions (the rebirth property tests rely on this probe).
+    /// [`DomainCore::full_rebuild_oracle`], byte-for-byte. After
+    /// [`SimKernel::reconcile_all`] the two must agree in both delivery
+    /// modes — including for domains reborn from retained descriptions
+    /// (the rebirth property tests and the golden table rely on this
+    /// probe).
     pub fn live_gs_matches_oracle(&self) -> Result<bool, P2pError> {
         for dom in &self.domains {
             if dom.dissolved {
