@@ -459,6 +459,7 @@ impl DomainCore {
         ledger: &mut MessageLedger,
     ) -> Result<ReconcileWork, P2pError> {
         let route = RingConversation::stale_route(&self.cl, |m| peer_up(peers, m));
+        // The ring conversation's route and token, minus its domain slot.
         let mut ring = RingConversation::new(0, route);
         while let Some(m) = ring.route.pop_front() {
             // The hop *to* this member carries the token gathered so far.
@@ -636,17 +637,14 @@ mod tests {
         (core, peers)
     }
 
-    /// A push arriving at the SP, followed by the kernel's α check: the
-    /// pull runs when the CL crosses `alpha`. Returns whether it ran.
-    fn push_then_gate(
+    /// The kernel's α check after a push or `localsum` lands: the pull
+    /// runs when the CL crosses `alpha`. Returns whether it ran.
+    fn gate(
         core: &mut DomainCore,
         peers: &mut [Option<PeerState>],
         ledger: &mut MessageLedger,
-        p: u32,
-        f: Freshness,
         alpha: f64,
     ) -> bool {
-        assert!(core.apply_push(NodeId(p), f), "push from a member");
         if !core.cl.needs_reconciliation(alpha) {
             return false;
         }
@@ -688,15 +686,11 @@ mod tests {
         core.enroll_all(&mut peers, &mut ledger).unwrap();
 
         peers[3].as_mut().unwrap().up = false;
-        let pulled = push_then_gate(
-            &mut core,
-            &mut peers,
-            &mut ledger,
-            3,
-            Freshness::Unavailable,
-            1.1,
+        assert!(core.apply_push(NodeId(3), Freshness::Unavailable));
+        assert!(
+            !gate(&mut core, &mut peers, &mut ledger, 1.1),
+            "α > 1 never fires"
         );
-        assert!(!pulled, "α = 1.1 never fires");
         assert_eq!(core.cl.freshness(NodeId(3)), Some(Freshness::Unavailable));
         assert_eq!(
             core.gs.all_sources().len(),
@@ -724,27 +718,13 @@ mod tests {
         core.enroll_all(&mut peers, &mut ledger).unwrap();
         // 2 of 10 stale: below α = 0.3.
         for p in [0u32, 1] {
-            let f = Freshness::NeedsRefresh;
-            assert!(!push_then_gate(
-                &mut core,
-                &mut peers,
-                &mut ledger,
-                p,
-                f,
-                0.3
-            ));
+            assert!(core.apply_push(NodeId(p), Freshness::NeedsRefresh));
+            assert!(!gate(&mut core, &mut peers, &mut ledger, 0.3));
         }
         assert_eq!(core.reconciliations, 0);
         // The third crosses 0.3.
-        let f = Freshness::NeedsRefresh;
-        assert!(push_then_gate(
-            &mut core,
-            &mut peers,
-            &mut ledger,
-            2,
-            f,
-            0.3
-        ));
+        assert!(core.apply_push(NodeId(2), Freshness::NeedsRefresh));
+        assert!(gate(&mut core, &mut peers, &mut ledger, 0.3));
         assert_eq!(core.reconciliations, 1);
         assert_eq!(core.cl.stale_fraction(), 0.0, "reset after the pull");
         // The ring visited exactly the 3 stale members.
@@ -999,22 +979,15 @@ mod tests {
         core.enroll_all(&mut peers, &mut ledger).unwrap();
 
         peers[5].as_mut().unwrap().up = false;
-        let f = Freshness::Unavailable;
-        assert!(!push_then_gate(
-            &mut core,
-            &mut peers,
-            &mut ledger,
-            5,
-            f,
-            1.1
-        ));
+        assert!(core.apply_push(NodeId(5), Freshness::Unavailable));
+        assert!(!gate(&mut core, &mut peers, &mut ledger, 1.1));
         core.reconcile(&mut peers, &mut ledger).unwrap();
         assert!(!core.cl.contains(NodeId(5)));
         assert!(!core.members.contains(&NodeId(5)), "pull drops departed");
 
         peers[5].as_mut().unwrap().up = true;
         assert!(core.apply_localsum(NodeId(5)));
-        assert!(!core.cl.needs_reconciliation(1.1));
+        assert!(!gate(&mut core, &mut peers, &mut ledger, 1.1));
         assert!(core.members.contains(&NodeId(5)), "rejoin re-enters");
         assert_eq!(core.cl.freshness(NodeId(5)), Some(Freshness::NeedsRefresh));
         assert_eq!(
