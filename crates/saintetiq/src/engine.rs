@@ -28,7 +28,7 @@ use crate::cell::{CellKey, SourceId};
 use crate::error::SummaryError;
 use crate::hierarchy::{NodeId, SummaryTree};
 use crate::mapping::Mapper;
-use crate::score::{category_utility, category_utility_with_new_child};
+use crate::score::{expected_correct, sum_hosting, LevelTerms};
 
 /// Tunables of the summarization service.
 ///
@@ -80,15 +80,24 @@ pub fn incorporate_cell(
     if weight <= 0.0 {
         return;
     }
-    if tree.leaf_of(key).is_some() {
-        // Stable case: the coordinate exists; sorting in the tree is a
-        // single path update.
-        tree.add_to_cell(key, source, weight, grades, raw_values);
-        return;
-    }
-    let leaf_parent = descend(tree, config, key, weight);
-    tree.create_leaf(leaf_parent, key.clone());
+    place_cell(tree, config, key, weight);
     tree.add_to_cell(key, source, weight, grades, raw_values);
+}
+
+/// Gives `key` a leaf if it has none, descending the hierarchy with a
+/// pending contribution of `weight` to place it. When the coordinate
+/// already exists this is a no-op: sorting the contribution in is then a
+/// single path update.
+pub(crate) fn place_cell(
+    tree: &mut SummaryTree,
+    config: &EngineConfig,
+    key: &CellKey,
+    weight: f64,
+) {
+    if tree.leaf_of(key).is_none() {
+        let leaf_parent = descend(tree, config, key, weight);
+        tree.create_leaf(leaf_parent, key.clone());
+    }
 }
 
 /// Cobweb descent: returns the internal node that should directly parent
@@ -157,12 +166,13 @@ fn choose_operator(
     split_here: bool,
 ) -> Operator {
     let labels: &[LabelId] = &key.0;
+    let terms = LevelTerms::new(tree, node, labels, weight);
 
     // Score hosting in each child.
     let mut best: (f64, usize) = (f64::NEG_INFINITY, 0);
     let mut second: (f64, usize) = (f64::NEG_INFINITY, 0);
     for i in 0..children.len() {
-        let s = category_utility(tree, node, Some((i, labels, weight)));
+        let s = terms.host(i);
         if s > best.0 {
             second = best;
             best = (s, i);
@@ -170,7 +180,7 @@ fn choose_operator(
             second = (s, i);
         }
     }
-    let create_score = category_utility_with_new_child(tree, node, labels, weight);
+    let create_score = terms.create();
 
     let mut winner = if create_score > best.0 {
         (create_score, Operator::Create)
@@ -180,7 +190,7 @@ fn choose_operator(
 
     // Merge: fuse the two best hosts, place the cell inside the fusion.
     if config.enable_merge && !merged_here && children.len() >= 3 && second.0 > f64::NEG_INFINITY {
-        let s = merge_score(tree, node, children, best.1, second.1, labels, weight);
+        let s = merge_score(tree, &terms, children, best.1, second.1, labels, weight);
         if s > winner.0 + config.restructure_epsilon {
             winner = (s, Operator::Merge(best.1, second.1));
         }
@@ -190,7 +200,7 @@ fn choose_operator(
     if config.enable_split && !split_here {
         let host = children[best.1];
         if !tree.node(host).is_leaf() {
-            let s = split_score(tree, node, children, best.1, labels, weight);
+            let s = split_score(tree, &terms, children, best.1, labels, weight);
             if s > winner.0 + config.restructure_epsilon {
                 winner = (s, Operator::Split(best.1));
             }
@@ -200,47 +210,20 @@ fn choose_operator(
     winner.1
 }
 
-/// Σ_a Σ_l p² over an explicit histogram with the pending cell added.
-fn ec_of(hist: &[Vec<f64>], count: f64, pending: Option<(&[LabelId], f64)>) -> f64 {
-    let total = count + pending.map(|(_, w)| w).unwrap_or(0.0);
-    if total <= 0.0 {
-        return 0.0;
-    }
-    let mut sum = 0.0;
-    for (attr, labels) in hist.iter().enumerate() {
-        for (l, &w) in labels.iter().enumerate() {
-            let mut w = w;
-            if let Some((key, pw)) = pending {
-                if key[attr].index() == l {
-                    w += pw;
-                }
-            }
-            if w > 0.0 {
-                let p = w / total;
-                sum += p * p;
-            }
-        }
-    }
-    sum
-}
-
-/// CU of `node`'s partition if children `i` and `j` were fused into one
-/// host that also receives the pending cell.
+/// CU of the level's partition if children `i` and `j` were fused into
+/// one host that also receives the pending cell.
 fn merge_score(
     tree: &SummaryTree,
-    node: NodeId,
+    terms: &LevelTerms,
     children: &[NodeId],
     i: usize,
     j: usize,
     labels: &[LabelId],
     weight: f64,
 ) -> f64 {
-    let parent = tree.node(node);
-    let parent_total = parent.count + weight;
-    if parent_total <= 0.0 {
+    if terms.total <= 0.0 {
         return 0.0;
     }
-    let parent_ec = ec_of(&parent.hist, parent.count, Some((labels, weight)));
     let k = children.len() - 1; // i and j fuse into one
     let mut cu = 0.0;
     // Fused host histogram = hist_i + hist_j (+ pending cell).
@@ -252,75 +235,66 @@ fn merge_score(
         }
     }
     let fused_count = ci.count + cj.count;
-    let fused_total = fused_count + weight;
-    if fused_total > 0.0 {
-        let ec = ec_of(&fused, fused_count, Some((labels, weight)));
-        cu += (fused_total / parent_total) * (ec - parent_ec);
+    let fused_ec = expected_correct(&fused, fused_count, Some((labels, weight)));
+    if let Some(t) = terms.term(fused_count + weight, fused_ec) {
+        cu += t;
     }
-    for (idx, &c) in children.iter().enumerate() {
+    for (idx, t) in terms.plain.iter().enumerate() {
         if idx == i || idx == j {
             continue;
         }
-        let child = tree.node(c);
-        if child.count <= 0.0 {
-            continue;
+        if let Some(t) = t {
+            cu += t;
         }
-        let ec = ec_of(&child.hist, child.count, None);
-        cu += (child.count / parent_total) * (ec - parent_ec);
     }
     cu / k as f64
 }
 
-/// CU of `node`'s partition if child `i` (internal) were dissolved, its
-/// children promoted, and the pending cell placed in the best promoted
-/// grandchild.
+/// CU of the level's partition if child `i` (internal) were dissolved,
+/// its children promoted, and the pending cell placed in the best
+/// promoted grandchild.
 fn split_score(
     tree: &SummaryTree,
-    node: NodeId,
+    terms: &LevelTerms,
     children: &[NodeId],
     i: usize,
     labels: &[LabelId],
     weight: f64,
 ) -> f64 {
-    let parent = tree.node(node);
-    let parent_total = parent.count + weight;
-    if parent_total <= 0.0 {
+    if terms.total <= 0.0 {
         return 0.0;
     }
-    let parent_ec = ec_of(&parent.hist, parent.count, Some((labels, weight)));
-    let grandchildren = tree.node(children[i]).children.clone();
+    let grandchildren = &tree.node(children[i]).children;
     let k = children.len() - 1 + grandchildren.len();
     if k == 0 {
         return f64::NEG_INFINITY;
     }
     // Contribution of the unaffected children.
     let mut base = 0.0;
-    for (idx, &c) in children.iter().enumerate() {
+    for (idx, t) in terms.plain.iter().enumerate() {
         if idx == i {
             continue;
         }
-        let child = tree.node(c);
-        if child.count <= 0.0 {
-            continue;
+        if let Some(t) = t {
+            base += t;
         }
-        base += (child.count / parent_total) * (ec_of(&child.hist, child.count, None) - parent_ec);
+    }
+    // The promoted grandchildren's terms, as they are and hosting the
+    // pending cell.
+    let mut plain = Vec::with_capacity(grandchildren.len());
+    let mut pending = Vec::with_capacity(grandchildren.len());
+    for &g in grandchildren {
+        let gc = tree.node(g);
+        plain.push(terms.term(gc.count, expected_correct(&gc.hist, gc.count, None)));
+        pending.push(terms.term(
+            gc.count + weight,
+            expected_correct(&gc.hist, gc.count, Some((labels, weight))),
+        ));
     }
     // Try the pending cell in each promoted grandchild; keep the best.
     let mut best = f64::NEG_INFINITY;
-    for (gi, &g) in grandchildren.iter().enumerate() {
-        let mut cu = base;
-        for (gj, &h) in grandchildren.iter().enumerate() {
-            let gc = tree.node(h);
-            let pending = (gi == gj).then_some((labels, weight));
-            let total = gc.count + pending.map(|(_, w)| w).unwrap_or(0.0);
-            if total <= 0.0 {
-                continue;
-            }
-            let ec = ec_of(&gc.hist, gc.count, pending);
-            cu += (total / parent_total) * (ec - parent_ec);
-        }
-        let _ = g;
-        best = best.max(cu);
+    for gi in 0..grandchildren.len() {
+        best = best.max(sum_hosting(base, &plain, &pending, gi));
     }
     best / k as f64
 }

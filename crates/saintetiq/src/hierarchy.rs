@@ -134,6 +134,15 @@ pub struct CellEntry {
     pub stats: Vec<AttributeStats>,
 }
 
+impl CellEntry {
+    /// Folds externally computed per-attribute statistics into the cell's.
+    pub(crate) fn merge_stats(&mut self, stats: &[AttributeStats]) {
+        for (own, other) in self.stats.iter_mut().zip(stats) {
+            own.merge(other);
+        }
+    }
+}
+
 /// A hierarchy of summaries over a fixed Background Knowledge.
 #[derive(Debug, Clone)]
 pub struct SummaryTree {
@@ -406,8 +415,10 @@ impl SummaryTree {
     }
 
     /// Applies a signed histogram/count delta to one node and refreshes
-    /// its cached intent bits. `sign` tells whether `hist` is added or
-    /// subtracted (+1 / −1).
+    /// all its cached intent bits. `sign` tells whether `hist` is added
+    /// or subtracted (+1 / −1). Only [`SummaryTree::reparent`] needs this
+    /// dense form (it moves a whole subtree's histogram); single-cell
+    /// updates go through [`SummaryTree::update_path`].
     fn apply_delta(&mut self, id: NodeId, dcount: f64, hist: &[Vec<f64>], sign: f64) {
         let node = self.node_mut(id);
         node.count = (node.count + dcount).max(0.0);
@@ -447,7 +458,56 @@ impl SummaryTree {
             }
         }
         let leaf = entry.leaf;
-        // Build the single-cell histogram delta once.
+        self.update_path(leaf, key, &[weight]);
+    }
+
+    /// Applies signed `weights` of cell `key` along the path from `leaf`
+    /// to the root. On each node every weight, in order, goes to `count`
+    /// and to the key's one label slot per attribute, clamped at zero
+    /// exactly as [`SummaryTree::apply_delta`] does; then only those
+    /// slots' intent bits are refreshed (no other slot moved, so no
+    /// other bit can). Nothing is allocated.
+    pub(crate) fn update_path(&mut self, leaf: NodeId, key: &CellKey, weights: &[f64]) {
+        if weights.is_empty() {
+            return;
+        }
+        let mut cur = Some(leaf);
+        while let Some(id) = cur {
+            let node = self.node_mut(id);
+            for &w in weights {
+                node.count = (node.count + w).max(0.0);
+            }
+            for (attr, &label) in key.0.iter().enumerate() {
+                let slot = &mut node.hist[attr][label.index()];
+                for &w in weights {
+                    *slot = (*slot + w).max(0.0);
+                }
+                if *slot > 1e-12 {
+                    node.intent.sets[attr].insert(label);
+                } else {
+                    node.intent.sets[attr].remove(label);
+                }
+            }
+            cur = node.parent;
+        }
+    }
+
+    /// [`SummaryTree::add_to_cell`] as it was before
+    /// [`SummaryTree::update_path`]: a dense single-cell histogram delta
+    /// applied through [`SummaryTree::apply_delta`], which rewrites and
+    /// refreshes every label slot on the path. The reference the sparse
+    /// path is checked against.
+    #[cfg(test)]
+    pub(crate) fn add_to_cell_dense(
+        &mut self,
+        key: &CellKey,
+        source: SourceId,
+        weight: f64,
+        grades: &[Grade],
+    ) {
+        let entry = self.cells.get_mut(key).expect("cell registered");
+        entry.content.add(source, weight, grades);
+        let leaf = entry.leaf;
         let mut hist: Vec<Vec<f64>> = self.label_counts.iter().map(|&n| vec![0.0; n]).collect();
         for (attr, &l) in key.0.iter().enumerate() {
             hist[attr][l.index()] = weight;
@@ -459,13 +519,18 @@ impl SummaryTree {
         }
     }
 
+    /// The registry entry of cell `key`, for folding several
+    /// contributions into its content and statistics before one
+    /// [`SummaryTree::update_path`].
+    pub(crate) fn cell_entry_mut(&mut self, key: &CellKey) -> Option<&mut CellEntry> {
+        self.cells.get_mut(key)
+    }
+
     /// Merges externally-computed statistics into a cell (used when
     /// merging two hierarchies, where raw values are no longer available).
     pub fn merge_cell_stats(&mut self, key: &CellKey, stats: &[AttributeStats]) {
         if let Some(entry) = self.cells.get_mut(key) {
-            for (own, other) in entry.stats.iter_mut().zip(stats) {
-                own.merge(other);
-            }
+            entry.merge_stats(stats);
         }
     }
 
@@ -475,52 +540,28 @@ impl SummaryTree {
     /// Used by push-mode deletes/updates: the before-image maps to cells
     /// whose weights are retracted.
     pub fn remove_from_cell(&mut self, key: &CellKey, source: SourceId, weight: f64) -> f64 {
-        let Some(entry) = self.cells.get_mut(key) else {
-            return 0.0;
-        };
-        let leaf = entry.leaf;
-        let removed = entry.content.remove(source, weight);
-        if removed == 0.0 {
-            return 0.0;
-        }
-        let drained = entry.content.is_empty();
-        let mut hist: Vec<Vec<f64>> = self.label_counts.iter().map(|&n| vec![0.0; n]).collect();
-        for (attr, &l) in key.0.iter().enumerate() {
-            hist[attr][l.index()] = removed;
-        }
-        let mut cur = Some(leaf);
-        while let Some(id) = cur {
-            self.apply_delta(id, -removed, &hist, -1.0);
-            cur = self.node(id).parent;
-        }
-        if drained {
-            self.cells.remove(key);
-            self.kill_and_prune(leaf);
-        }
-        removed
+        self.retract(key, |content| content.remove(source, weight))
     }
 
     /// Removes every contribution of `source` from cell `key`; prunes the
     /// leaf if it drains. Returns the removed weight.
     pub fn remove_source_from_cell(&mut self, key: &CellKey, source: SourceId) -> f64 {
+        self.retract(key, |content| content.remove_source(source))
+    }
+
+    /// Takes weight out of cell `key`'s content with `take`, subtracts
+    /// it along the leaf's path and prunes the leaf if it drained.
+    fn retract(&mut self, key: &CellKey, take: impl FnOnce(&mut CellContent) -> f64) -> f64 {
         let Some(entry) = self.cells.get_mut(key) else {
             return 0.0;
         };
         let leaf = entry.leaf;
-        let removed = entry.content.remove_source(source);
+        let removed = take(&mut entry.content);
         if removed == 0.0 {
             return 0.0;
         }
         let drained = entry.content.is_empty();
-        let mut hist: Vec<Vec<f64>> = self.label_counts.iter().map(|&n| vec![0.0; n]).collect();
-        for (attr, &l) in key.0.iter().enumerate() {
-            hist[attr][l.index()] = removed;
-        }
-        let mut cur = Some(leaf);
-        while let Some(id) = cur {
-            self.apply_delta(id, -removed, &hist, -1.0);
-            cur = self.node(id).parent;
-        }
+        self.update_path(leaf, key, &[-removed]);
         if drained {
             self.cells.remove(key);
             self.kill_and_prune(leaf);

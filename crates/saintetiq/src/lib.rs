@@ -57,7 +57,7 @@ pub mod score;
 pub mod wire;
 
 pub use cell::{CandidateCell, CellKey, SourceId};
-pub use delta::{GsAccumulator, SourceDelta};
+pub use delta::GsAccumulator;
 pub use engine::{EngineConfig, SaintEtiQEngine};
 pub use error::SummaryError;
 pub use hierarchy::{Intent, NodeId, SummaryTree};

@@ -19,7 +19,7 @@ use crate::hierarchy::{NodeId, SummaryTree};
 
 /// Σ_a Σ_l P(l|node)² for one node's histogram; `extra` optionally adds a
 /// hypothetical cell (label per attribute with a weight) before scoring.
-fn expected_correct(
+pub(crate) fn expected_correct(
     hist: &[Vec<f64>],
     count: f64,
     extra: Option<(&[fuzzy::descriptor::LabelId], f64)>,
@@ -93,26 +93,110 @@ pub fn category_utility_with_new_child(
     key: &[fuzzy::descriptor::LabelId],
     weight: f64,
 ) -> f64 {
-    let p = tree.node(parent);
-    let k = p.children.len() + 1;
-    let parent_total = p.count + weight;
-    if parent_total <= 0.0 {
-        return 0.0;
-    }
-    let parent_ec = expected_correct(&p.hist, p.count, Some((key, weight)));
-    let mut cu = 0.0;
-    for &child in &p.children {
-        let c = tree.node(child);
-        if c.count <= 0.0 {
-            continue;
+    LevelTerms::new(tree, parent, key, weight).create()
+}
+
+/// The category-utility terms of one Cobweb descent level, computed once
+/// and shared by every operator scored there. A child's term is
+/// `P(C) · (Σ P(l|C)² − Σ P(l|N)²)` with the pending cell counted in
+/// the parent `N`; `None` marks a child without weight, which the score
+/// skips. Every score sums its terms in child order, so it is
+/// bit-identical to evaluating [`category_utility`] per candidate.
+#[derive(Debug)]
+pub(crate) struct LevelTerms {
+    /// Parent count plus the pending weight.
+    pub(crate) total: f64,
+    /// The parent's `Σ P(l|N)²` with the pending cell.
+    pub(crate) ec: f64,
+    /// The pending cell's weight.
+    weight: f64,
+    /// The pending cell's arity (a singleton's `Σ P(l|C)²`).
+    arity: usize,
+    /// Each child as it is.
+    pub(crate) plain: Vec<Option<f64>>,
+    /// Each child with the pending cell added.
+    pub(crate) pending: Vec<Option<f64>>,
+}
+
+impl LevelTerms {
+    /// The terms of `parent`'s children for a pending cell `key` of
+    /// `weight`: one expected-correct sum for the parent and two per
+    /// child.
+    pub(crate) fn new(
+        tree: &SummaryTree,
+        parent: NodeId,
+        key: &[fuzzy::descriptor::LabelId],
+        weight: f64,
+    ) -> Self {
+        let p = tree.node(parent);
+        let mut terms = Self {
+            total: p.count + weight,
+            ec: expected_correct(&p.hist, p.count, Some((key, weight))),
+            weight,
+            arity: key.len(),
+            plain: Vec::with_capacity(p.children.len()),
+            pending: Vec::with_capacity(p.children.len()),
+        };
+        if terms.total <= 0.0 {
+            return terms;
         }
-        let child_ec = expected_correct(&c.hist, c.count, None);
-        cu += (c.count / parent_total) * (child_ec - parent_ec);
+        for &child in &p.children {
+            let c = tree.node(child);
+            let plain = terms.term(c.count, expected_correct(&c.hist, c.count, None));
+            let pending = terms.term(
+                c.count + weight,
+                expected_correct(&c.hist, c.count, Some((key, weight))),
+            );
+            terms.plain.push(plain);
+            terms.pending.push(pending);
+        }
+        terms
     }
-    // The hypothetical singleton child.
-    let singleton_ec = key.len() as f64;
-    cu += (weight / parent_total) * (singleton_ec - parent_ec);
-    cu / k as f64
+
+    /// The term of a (hypothetical) child of total weight `total` whose
+    /// `Σ P(l|C)²` is `ec`; `None` when it carries no weight.
+    pub(crate) fn term(&self, total: f64, ec: f64) -> Option<f64> {
+        (total > 0.0).then(|| (total / self.total) * (ec - self.ec))
+    }
+
+    /// CU with the pending cell hosted by child `i`:
+    /// [`category_utility`] with `pending = (i, key, weight)`.
+    pub(crate) fn host(&self, i: usize) -> f64 {
+        if self.total <= 0.0 {
+            return 0.0;
+        }
+        sum_hosting(0.0, &self.plain, &self.pending, i) / self.plain.len() as f64
+    }
+
+    /// CU with a new singleton child for the pending cell.
+    pub(crate) fn create(&self) -> f64 {
+        if self.total <= 0.0 {
+            return 0.0;
+        }
+        let mut cu = 0.0;
+        for t in self.plain.iter().flatten() {
+            cu += t;
+        }
+        cu += (self.weight / self.total) * (self.arity as f64 - self.ec);
+        cu / (self.plain.len() + 1) as f64
+    }
+}
+
+/// `init` plus every present term in order, taking member `i`'s
+/// `pending` term in place of its `plain` one.
+pub(crate) fn sum_hosting(
+    init: f64,
+    plain: &[Option<f64>],
+    pending: &[Option<f64>],
+    i: usize,
+) -> f64 {
+    let mut cu = init;
+    for (j, (plain, pending)) in plain.iter().zip(pending).enumerate() {
+        if let Some(t) = if j == i { pending } else { plain } {
+            cu += t;
+        }
+    }
+    cu
 }
 
 #[cfg(test)]
@@ -208,5 +292,40 @@ mod tests {
             as_new > best_existing,
             "new {as_new} vs existing {best_existing}"
         );
+    }
+
+    /// The shared level terms reproduce the per-candidate scores bit for
+    /// bit.
+    #[test]
+    fn level_terms_match_the_direct_scores() {
+        let mut t = SummaryTree::new("bk", vec![3, 4]);
+        let root = t.root();
+        let host = t.create_internal(root);
+        // Irregular weights, so summing the terms in another order would
+        // move low bits.
+        for (i, labels) in [[0u16, 0], [0, 1], [2, 3], [1, 2], [2, 0], [1, 3], [0, 3]]
+            .into_iter()
+            .enumerate()
+        {
+            let parent = if i < 2 { host } else { root };
+            let k = key(&labels);
+            t.create_leaf(parent, k.clone());
+            let w = 0.1 + 0.37 * i as f64 / 3.0;
+            t.add_to_cell(&k, SourceId(1), w, &[1.0, 1.0], None);
+        }
+        let incoming = [LabelId(0), LabelId(2)];
+        let terms = LevelTerms::new(&t, root, &incoming, 0.7);
+        let k = t.node(root).children.len();
+        for i in 0..k {
+            let direct = category_utility(&t, root, Some((i, &incoming, 0.7)));
+            assert_eq!(terms.host(i).to_bits(), direct.to_bits(), "host {i}");
+        }
+        // Creating is scoring the partition with the singleton in place.
+        let mut created = t.clone();
+        let k = CellKey(incoming.to_vec());
+        created.create_leaf(root, k.clone());
+        created.add_to_cell(&k, SourceId(2), 0.7, &[1.0, 1.0], None);
+        let direct = category_utility(&created, root, None);
+        assert_eq!(terms.create().to_bits(), direct.to_bits());
     }
 }

@@ -142,9 +142,12 @@ fn decode_node(
             if buf.remaining() < n_sources * 12 {
                 return Err(err("truncated sources"));
             }
-            let sources: Vec<(SourceId, f64)> = (0..n_sources)
-                .map(|_| (SourceId(buf.get_u32()), buf.get_f64()))
-                .collect();
+            let mut sources = Vec::with_capacity(n_sources);
+            let mut weights = Vec::with_capacity(n_sources);
+            for _ in 0..n_sources {
+                sources.push(SourceId(buf.get_u32()));
+                weights.push(buf.get_f64());
+            }
             if buf.remaining() < arity * 8 {
                 return Err(err("truncated grades"));
             }
@@ -172,11 +175,15 @@ fn decode_node(
             }
             // A leaf directly at the root slot: the decoded parent here is
             // always an internal node we created, so attach normally.
-            tree.create_leaf(parent, key.clone());
-            for (s, w) in sources {
-                tree.add_to_cell(&key, s, w, &grades, None);
+            // Every source is folded into the content in order, then the
+            // path takes all their weights in one walk.
+            let leaf = tree.create_leaf(parent, key.clone());
+            let entry = tree.cell_entry_mut(&key).expect("leaf just created");
+            for (&s, &w) in sources.iter().zip(&weights) {
+                entry.content.add(s, w, &grades);
             }
-            tree.merge_cell_stats(&key, &stats);
+            entry.merge_stats(&stats);
+            tree.update_path(leaf, &key, &weights);
             Ok(())
         }
         0 => {
@@ -198,9 +205,40 @@ fn decode_node(
     }
 }
 
-/// Encoded size in bytes.
+/// Encoded size in bytes: `encode(tree).len()`, counted without
+/// encoding.
 pub fn encoded_size(tree: &SummaryTree) -> usize {
-    encode(tree).len()
+    let header = MAGIC.len() + 1 + 2 + tree.bk_name().len() + 2 + 2 * tree.arity();
+    header + node_size(tree, tree.root())
+}
+
+/// Encoded size of the subtree at `id` (mirrors [`encode_node`]).
+fn node_size(tree: &SummaryTree, id: NodeId) -> usize {
+    let node = tree.node(id);
+    match &node.cell {
+        Some(key) => {
+            let entry = &tree.cells()[key];
+            let stats: usize = entry
+                .stats
+                .iter()
+                .map(|st| if st.raw_parts().0 > 0.0 { 1 + 5 * 8 } else { 1 })
+                .sum();
+            1 + 2 * key.0.len()
+                + 8
+                + 4
+                + 12 * entry.content.per_source.len()
+                + 8 * entry.content.max_grades.len()
+                + stats
+        }
+        None => {
+            1 + 2
+                + node
+                    .children
+                    .iter()
+                    .map(|&c| node_size(tree, c))
+                    .sum::<usize>()
+        }
+    }
 }
 
 /// Average encoded bytes per live node — comparable to the paper's
@@ -239,6 +277,7 @@ mod tests {
     fn roundtrip_preserves_everything() {
         let t = summary(1, 150);
         let bytes = encode(&t);
+        assert_eq!(encoded_size(&t), bytes.len(), "statistics are sized too");
         let d = decode(&bytes).unwrap();
         d.check_invariants();
         assert_eq!(d.bk_name(), t.bk_name());

@@ -47,11 +47,13 @@ proptest! {
 
     /// Encode/decode is lossless for any random tree: structure, mass,
     /// per-cell weights, per-source contributions and grades all survive.
+    /// `encoded_size` counts exactly the encoded bytes.
     #[test]
     fn wire_roundtrip_random_trees(cells in prop::collection::vec(cell(), 0..60)) {
         let tree = build_tree(&cells);
         tree.check_invariants();
         let bytes = wire::encode(&tree);
+        prop_assert_eq!(wire::encoded_size(&tree), bytes.len());
         let decoded = wire::decode(&bytes).expect("own encodings decode");
         decoded.check_invariants();
 
