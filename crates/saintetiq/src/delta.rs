@@ -28,10 +28,7 @@
 //! path walk; Cobweb placement and the walks themselves scale with
 //! cells × depth. Contributions are stored by cell, so a build never
 //! regroups them. At 1 000 members (≈140 cells, ≈26 k contributions) a
-//! build takes ≈9 ms in release on a 2-core x86-64 container, down from
-//! ≈29 ms for the earlier per-contribution replay, which allocated a
-//! full label histogram for every contribution and rewrote every label
-//! slot of every ancestor.
+//! build takes ≈9 ms in release on a 2-core x86-64 container.
 
 use std::collections::BTreeMap;
 
@@ -225,11 +222,11 @@ impl GsAccumulator {
         tree
     }
 
-    /// The construction before the per-cell fold: every contribution
-    /// replayed on its own, placed through Cobweb when its cell is new
-    /// and then added with a dense histogram delta, in cell-key order
-    /// and within a cell in source order. The reference
-    /// [`GsAccumulator::build_merged`] is checked against.
+    /// The per-contribution replay: every contribution on its own,
+    /// placed through Cobweb when its cell is new and then added with a
+    /// dense histogram delta, in cell-key order and within a cell in
+    /// source order. The reference [`GsAccumulator::build_merged`] is
+    /// checked against.
     #[cfg(test)]
     fn build_merged_reference(&self) -> SummaryTree {
         let mut tree = SummaryTree::new(self.bk_name.clone(), self.label_counts.clone());

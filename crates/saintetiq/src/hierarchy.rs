@@ -492,11 +492,10 @@ impl SummaryTree {
         }
     }
 
-    /// [`SummaryTree::add_to_cell`] as it was before
-    /// [`SummaryTree::update_path`]: a dense single-cell histogram delta
-    /// applied through [`SummaryTree::apply_delta`], which rewrites and
-    /// refreshes every label slot on the path. The reference the sparse
-    /// path is checked against.
+    /// [`SummaryTree::add_to_cell`] through a dense single-cell
+    /// histogram delta and [`SummaryTree::apply_delta`], which rewrites
+    /// and refreshes every label slot on the path: the reference the
+    /// sparse [`SummaryTree::update_path`] is checked against.
     #[cfg(test)]
     pub(crate) fn add_to_cell_dense(
         &mut self,
