@@ -21,7 +21,11 @@
 //! ```text
 //! GOLDEN_PRINT=1 cargo test --test golden -- --nocapture
 //! ```
+//!
+//! One more line pins the static view: the networked kernel frozen at
+//! t = 0 and probed with `route_live` (see [`static_view`]).
 
+use p2psim::network::NodeId;
 use p2psim::time::SimTime;
 use summary_p2p::config::SimConfig;
 use summary_p2p::control::ControlPolicy;
@@ -260,6 +264,53 @@ fn matrix() -> Vec<Case> {
     cases
 }
 
+/// The table line of the static view.
+const STATIC_CASE: &str = "net-static-inst-s1";
+
+/// The static view: `SimKernel::networked(.., None)` (no dynamics)
+/// probed with `route_live` from 10 fixed assigned origins under
+/// `Partial(1)`, `Partial(5)` and `Total` in turn, so later lookups meet
+/// the caches earlier ones warmed. The digest covers the `{:?}` of every
+/// outcome and the final `cache_hits()`.
+fn static_view() -> (u64, bool) {
+    let cfg = Case {
+        networked: true,
+        latency: false,
+        flavour: Flavour::Plain,
+        target: LookupTarget::Total,
+        seed: 1,
+    }
+    .config();
+    let mut k = SimKernel::networked(cfg, NET_DOMAIN_TARGET, None).expect("valid config");
+    let assigned: Vec<NodeId> =
+        summary_p2p::system::MultiDomainSystem::build(&cfg, NET_DOMAIN_TARGET)
+            .expect("valid config")
+            .domains()
+            .assignment
+            .iter()
+            .enumerate()
+            .filter(|(_, a)| a.is_some())
+            .map(|(i, _)| NodeId(i as u32))
+            .collect();
+    let step = (assigned.len() / 10).max(1);
+    let mut log = String::new();
+    for (i, &origin) in assigned.iter().step_by(step).take(10).enumerate() {
+        let template = i % k.template_count();
+        for target in [
+            LookupTarget::Partial(1),
+            LookupTarget::Partial(5),
+            LookupTarget::Total,
+        ] {
+            let out = k.route_live(origin, template, target);
+            log.push_str(&format!("{out:?}\n"));
+        }
+    }
+    log.push_str(&format!("cache_hits={}", k.cache_hits()));
+    k.reconcile_all();
+    let oracle = k.live_gs_matches_oracle().expect("oracle rebuild");
+    (fnv1a(log.as_bytes()), oracle)
+}
+
 fn expected_table() -> Vec<(String, String)> {
     EXPECTED
         .lines()
@@ -303,8 +354,24 @@ fn check(selected: impl Fn(&Case) -> bool) {
 #[test]
 fn expected_table_lists_exactly_the_matrix() {
     let names: Vec<String> = expected_table().into_iter().map(|(n, _)| n).collect();
-    let cases: Vec<String> = matrix().iter().map(Case::name).collect();
+    let mut cases: Vec<String> = matrix().iter().map(Case::name).collect();
+    cases.push(STATIC_CASE.to_string());
     assert_eq!(names, cases);
+}
+
+#[test]
+fn static_view_golden() {
+    let (digest, oracle) = static_view();
+    let got = format!("{digest:016x} {oracle}");
+    if std::env::var_os("GOLDEN_PRINT").is_some() {
+        println!("{STATIC_CASE} {got}");
+    }
+    let expected = expected_table();
+    let want = expected
+        .iter()
+        .find(|(n, _)| n == STATIC_CASE)
+        .map(|(_, w)| w.as_str());
+    assert_eq!(want, Some(got.as_str()), "{STATIC_CASE} moved");
 }
 
 #[test]
