@@ -202,8 +202,8 @@ impl DomainReport {
 
     /// The paper's §6.1.1 accounting: "during reconciliation, only one
     /// message is propagated among all partner peers" — each round counts
-    /// once. The two views bracket Figure 6's reading; EXPERIMENTS.md
-    /// discusses the gap.
+    /// once. The two views bracket Figure 6's reading: this one from
+    /// below, [`DomainReport::update_messages`]'s hop count from above.
     pub fn update_messages_token_counted(&self) -> u64 {
         self.push_messages + self.reconciliations
     }
@@ -415,30 +415,6 @@ impl MultiDomainReport {
             weighted / self.horizon_s
         } else {
             last_n
-        }
-    }
-
-    /// Mean recall of the lookups posed strictly before `t_s` seconds
-    /// (1.0 when none were).
-    pub fn recall_before(&self, t_s: f64) -> f64 {
-        Self::mean_recall_of(self.samples.iter().filter(|(t, _)| *t < t_s))
-    }
-
-    /// Mean recall of the lookups posed at or after `t_s` seconds.
-    pub fn recall_after(&self, t_s: f64) -> f64 {
-        Self::mean_recall_of(self.samples.iter().filter(|(t, _)| *t >= t_s))
-    }
-
-    fn mean_recall_of<'a>(it: impl Iterator<Item = &'a (f64, f64)>) -> f64 {
-        let (mut sum, mut n) = (0.0, 0usize);
-        for (_, r) in it {
-            sum += r;
-            n += 1;
-        }
-        if n == 0 {
-            1.0
-        } else {
-            sum / n as f64
         }
     }
 }

@@ -150,8 +150,7 @@ pub struct QueryCostPoint {
     /// by measured recall. A TTL-3 flood on a degree-4 power-law graph
     /// reaches only part of a large network, so its raw message count
     /// understates what it costs flooding to deliver the result set the
-    /// other algorithms deliver; this is the comparable series (see
-    /// EXPERIMENTS.md for the discussion).
+    /// other algorithms deliver; this is the comparable series.
     pub flooding: f64,
     /// Raw measured flooding messages (TTL 3, duplicates included).
     pub flooding_raw: f64,

@@ -1,6 +1,6 @@
 //! Shape tests for the figure drivers: at reduced scale, every trend the
-//! paper reports must already be visible. These are the claims
-//! EXPERIMENTS.md records at paper scale.
+//! paper reports must already be visible. At paper scale the same
+//! claims are read off the `sumq-bench` figure binaries' output.
 
 use p2psim::time::SimTime;
 use summary_p2p::config::SimConfig;
