@@ -48,7 +48,7 @@ pub fn flood_query<F: Fn(NodeId) -> bool>(
         .map(NodeId)
         .filter(|&p| net.is_up(p) && matches(p))
         .count();
-    let hits_reached = reached.iter().filter(|&&(p, _)| matches(p)).count()
+    let hits_reached = reached.iter().filter(|&&(p, _, _)| matches(p)).count()
         + usize::from(matches(origin) && net.is_up(origin));
     BaselineOutcome {
         messages: forwards + hits_reached as u64,

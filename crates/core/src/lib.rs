@@ -12,7 +12,7 @@
 //! matching them against the GS (peer localization) or answered
 //! approximately straight from it.
 //!
-//! ## Architecture: one simulation kernel, two facades
+//! ## Architecture: one simulation kernel, one entry point per view
 //!
 //! Every dynamic process of the paper — summary drift, churn sessions,
 //! α-gated reconciliation rings, intra-domain workload queries and
@@ -26,8 +26,11 @@
 //! * [`kernel`] — [`kernel::SimKernel`] drives N domains in one
 //!   `p2psim::Simulator` loop and rebuilds multi-domain routing on the
 //!   *live* per-domain GS/CL state, so recall, stale answers and false
-//!   negatives are measurable network-wide while maintenance runs;
-//!   [`kernel::MultiDomainSim`] is the dynamic entry point. Under
+//!   negatives are measurable network-wide while maintenance runs.
+//!   [`kernel::SimKernel::networked`] without dynamics is §5.2.2's
+//!   static view (construction + fresh global summaries, probed with
+//!   [`kernel::SimKernel::route_live`]); [`kernel::MultiDomainSim`] is
+//!   the dynamic entry point that runs to a report. Under
 //!   [`config::DeliveryMode::Latency`] the kernel routes every protocol
 //!   message through virtual-time delivery events (the *message plane*):
 //!   reconciliation rings and §5.2.2 lookups become multi-event
@@ -35,9 +38,7 @@
 //!   [`config::DeliveryMode::Instantaneous`] reproduces the figure
 //!   pipelines byte-identically;
 //! * [`domain`] — [`domain::DomainSim`], the single-domain facade the
-//!   Figure 4–6 drivers use (one `DomainCore`, intra-domain queries);
-//! * [`system`] — [`system::MultiDomainSystem`], the frozen t = 0 facade
-//!   (construction + fresh global summaries) of §5.2.2's static view.
+//!   Figure 4–6 drivers use (one `DomainCore`, intra-domain queries).
 //!
 //! ## Supporting modules, following the paper's structure
 //!
@@ -64,7 +65,8 @@
 //!   and (2));
 //! * [`baselines`] — §6.2.3's comparators: pure TTL-3 flooding and a
 //!   centralized index;
-//! * [`metrics`] — accuracy/traffic reports for both facades;
+//! * [`metrics`] — accuracy/traffic reports for both facades
+//!   (`DomainReport`, `MultiDomainReport`);
 //! * [`scenario`] — the experiment drivers regenerating Figures 4–7 plus
 //!   [`scenario::figure_multidomain_churn`], the unified kernel's
 //!   churn-under-routing experiment.
@@ -85,7 +87,6 @@ pub mod metrics;
 pub mod peerstate;
 pub mod routing;
 pub mod scenario;
-pub mod system;
 pub mod workload;
 
 pub use config::{DeliveryMode, LatencyConfig, SimConfig};

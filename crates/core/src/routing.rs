@@ -39,6 +39,28 @@ pub enum RoutingPolicy {
     Extended,
 }
 
+impl RoutingPolicy {
+    /// The visit list `V` this policy selects from the localized peers
+    /// `pq`, reading stale flags from `cl`. The `Extended` union comes
+    /// back sorted by id.
+    pub(crate) fn visits(self, pq: Vec<NodeId>, cl: &CooperationList) -> Vec<NodeId> {
+        match self {
+            RoutingPolicy::All => pq,
+            RoutingPolicy::FreshOnly => pq
+                .into_iter()
+                .filter(|&p| cl.freshness(p).is_some_and(|f| !f.as_stale_bit()))
+                .collect(),
+            RoutingPolicy::Extended => {
+                let mut v = pq;
+                v.extend(cl.old_partners());
+                v.sort_unstable_by_key(|p| p.0);
+                v.dedup();
+                v
+            }
+        }
+    }
+}
+
 /// Everything measured about one routed query.
 #[derive(Debug, Clone, Default)]
 pub struct QueryOutcome {
@@ -254,25 +276,7 @@ pub fn route_query_scoped<F: Fn(NodeId) -> (bool, bool)>(
         .map(|s| NodeId(s.0))
         .collect();
 
-    let visited: Vec<NodeId> = match policy {
-        RoutingPolicy::All => pq.clone(),
-        RoutingPolicy::FreshOnly => pq
-            .iter()
-            .copied()
-            .filter(|&p| cl.freshness(p).map(|f| !f.as_stale_bit()).unwrap_or(false))
-            .collect(),
-        RoutingPolicy::Extended => {
-            let mut v = pq.clone();
-            for p in cl.old_partners() {
-                if !v.contains(&p) {
-                    v.push(p);
-                }
-            }
-            v.sort_unstable_by_key(|p| p.0);
-            v.dedup();
-            v
-        }
-    };
+    let visited = policy.visits(pq.clone(), cl);
 
     let mut out = QueryOutcome {
         pq: pq.clone(),

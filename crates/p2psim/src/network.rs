@@ -151,36 +151,11 @@ impl Network {
     /// The set of live nodes within `ttl` hops of `origin` (excluding the
     /// origin), in BFS order — a TTL-limited broadcast's reach. Each BFS
     /// edge traversal is one message if actually flooded; the returned
-    /// `(node, hops)` pairs let callers do exact accounting.
-    pub fn flood_reach(&self, origin: NodeId, ttl: u32) -> Vec<(NodeId, u32)> {
-        let mut seen = vec![false; self.len()];
-        seen[origin.index()] = true;
-        let mut frontier = vec![origin];
-        let mut out = Vec::new();
-        for hop in 1..=ttl {
-            let mut next = Vec::new();
-            for &u in &frontier {
-                for v in self.live_neighbors(u) {
-                    if !seen[v.index()] {
-                        seen[v.index()] = true;
-                        out.push((v, hop));
-                        next.push(v);
-                    }
-                }
-            }
-            frontier = next;
-            if frontier.is_empty() {
-                break;
-            }
-        }
-        out
-    }
-
-    /// [`Network::flood_reach`] with per-node arrival latency: each
-    /// reached node is annotated with the accumulated link latency along
-    /// its BFS discovery path — when a latency-aware caller floods at
-    /// virtual time `t`, node `v` receives the request at `t + latency`.
-    pub fn flood_reach_timed(&self, origin: NodeId, ttl: u32) -> Vec<(NodeId, u32, SimTime)> {
+    /// `(node, hops, latency)` triples let callers do exact accounting.
+    /// `latency` is the accumulated link latency along the node's BFS
+    /// discovery path: when a latency-aware caller floods at virtual
+    /// time `t`, the node receives the request at `t + latency`.
+    pub fn flood_reach(&self, origin: NodeId, ttl: u32) -> Vec<(NodeId, u32, SimTime)> {
         let mut seen = vec![false; self.len()];
         seen[origin.index()] = true;
         let mut frontier = vec![(origin, SimTime::ZERO)];
@@ -332,19 +307,19 @@ mod tests {
         assert_eq!(reach1.len(), 2, "two ring neighbors");
         let reach2 = n.flood_reach(NodeId(0), 2);
         assert_eq!(reach2.len(), 4);
-        assert!(reach2.iter().all(|&(_, h)| h <= 2));
+        assert!(reach2.iter().all(|&(_, h, _)| h <= 2));
 
         n.take_down(NodeId(1));
         let reach = n.flood_reach(NodeId(0), 3);
         // One side of the ring is cut at node 1.
-        assert!(reach.iter().all(|&(v, _)| v != NodeId(1)));
+        assert!(reach.iter().all(|&(v, _, _)| v != NodeId(1)));
         assert_eq!(reach.len(), 3, "only the other direction: 9, 8, 7");
     }
 
     #[test]
-    fn flood_reach_timed_accumulates_latency() {
+    fn flood_reach_accumulates_latency() {
         let n = Network::new(Graph::ring(10, SimTime::from_millis(2)));
-        let reach = n.flood_reach_timed(NodeId(0), 3);
+        let reach = n.flood_reach(NodeId(0), 3);
         assert_eq!(reach.len(), 6);
         for &(v, hops, lat) in &reach {
             assert_eq!(
@@ -353,10 +328,6 @@ mod tests {
                 "node {v:?} at {hops} hops"
             );
         }
-        // Same nodes and hop counts as the untimed variant.
-        let untimed = n.flood_reach(NodeId(0), 3);
-        let plain: Vec<(NodeId, u32)> = reach.iter().map(|&(v, h, _)| (v, h)).collect();
-        assert_eq!(plain, untimed);
     }
 
     #[test]

@@ -25,7 +25,6 @@
 //! One more line pins the static view: the networked kernel frozen at
 //! t = 0 and probed with `route_live` (see [`static_view`]).
 
-use p2psim::network::NodeId;
 use p2psim::time::SimTime;
 use summary_p2p::config::SimConfig;
 use summary_p2p::control::ControlPolicy;
@@ -282,16 +281,8 @@ fn static_view() -> (u64, bool) {
     }
     .config();
     let mut k = SimKernel::networked(cfg, NET_DOMAIN_TARGET, None).expect("valid config");
-    let assigned: Vec<NodeId> =
-        summary_p2p::system::MultiDomainSystem::build(&cfg, NET_DOMAIN_TARGET)
-            .expect("valid config")
-            .domains()
-            .assignment
-            .iter()
-            .enumerate()
-            .filter(|(_, a)| a.is_some())
-            .map(|(i, _)| NodeId(i as u32))
-            .collect();
+    // At t = 0 the live origins are exactly the assigned partners.
+    let assigned = k.live_origins();
     let step = (assigned.len() / 10).max(1);
     let mut log = String::new();
     for (i, &origin) in assigned.iter().step_by(step).take(10).enumerate() {

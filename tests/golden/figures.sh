@@ -5,7 +5,7 @@
 #
 # Build first, then compare with the checked-in table:
 #
-#   cargo build --release --workspace --examples
+#   cargo build --release --workspace --bins --examples
 #   tests/golden/figures.sh | diff tests/golden/figures.txt -
 set -euo pipefail
 cd "$(dirname "$0")/../.."

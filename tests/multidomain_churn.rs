@@ -1,11 +1,11 @@
 //! Integration tests of the unified simulation kernel: inter-domain
 //! lookups (§5.2.2) routed *while* churn, drift and reconciliation
 //! mutate every domain's global summary — the dynamic network-scale
-//! scenario the old static `MultiDomainSystem` could not express.
+//! scenario a kernel frozen at t = 0 cannot express.
 
 use p2psim::time::SimTime;
 use summary_p2p::config::SimConfig;
-use summary_p2p::kernel::{LookupTarget, MultiDomainSim};
+use summary_p2p::kernel::{LookupTarget, MultiDomainSim, SimKernel};
 use summary_p2p::scenario::{figure_multidomain_churn, scale_churn, with_latency};
 
 fn base(n: usize, seed: u64) -> SimConfig {
@@ -60,39 +60,39 @@ fn reconciliation_recovers_recall_mid_run() {
     };
     let probe_at = SimTime::from_hours(3);
 
-    let probe = |sim: &mut MultiDomainSim| -> (f64, usize) {
-        let origins = sim.live_origins();
+    let probe = |k: &mut SimKernel| -> (f64, usize) {
+        let origins = k.live_origins();
         assert!(!origins.is_empty(), "someone is online at the probe time");
         let mut recall_sum = 0.0;
         let mut totals = 0usize;
         let picks: Vec<_> = origins.iter().copied().take(6).collect();
         let n = picks.len();
         for origin in picks {
-            let out = sim.route_now(origin, 0, LookupTarget::Total);
+            let out = k.route_live(origin, 0, LookupTarget::Total);
             recall_sum += out.recall();
             totals += out.results_total;
         }
         (recall_sum / n as f64, totals)
     };
 
-    let mut stale_sim = MultiDomainSim::new(cfg, 25, LookupTarget::Total).unwrap();
-    stale_sim.advance_to(probe_at);
+    let mut stale_k = SimKernel::networked(cfg, 25, Some(LookupTarget::Total)).unwrap();
+    stale_k.run_until(probe_at);
     assert!(
-        stale_sim.mean_stale_fraction() > 0.0,
+        stale_k.mean_stale_fraction() > 0.0,
         "three hours of drift must have flagged someone"
     );
-    let (recall_stale, totals) = probe(&mut stale_sim);
+    let (recall_stale, totals) = probe(&mut stale_k);
     assert!(totals > 0, "ground truth exists at the probe time");
 
-    let mut fresh_sim = MultiDomainSim::new(cfg, 25, LookupTarget::Total).unwrap();
-    fresh_sim.advance_to(probe_at);
-    fresh_sim.reconcile_all();
+    let mut fresh_k = SimKernel::networked(cfg, 25, Some(LookupTarget::Total)).unwrap();
+    fresh_k.run_until(probe_at);
+    fresh_k.reconcile_all();
     assert_eq!(
-        fresh_sim.mean_stale_fraction(),
+        fresh_k.mean_stale_fraction(),
         0.0,
         "the pull resets every CL"
     );
-    let (recall_fresh, _) = probe(&mut fresh_sim);
+    let (recall_fresh, _) = probe(&mut fresh_k);
 
     assert!(
         recall_stale < 1.0,
@@ -122,13 +122,13 @@ fn stale_answers_appear_under_churn_and_not_in_static_build() {
         "churn must surface stale answers network-wide"
     );
 
-    let mut static_sys = summary_p2p::system::MultiDomainSystem::build(&base(150, 3), 25).unwrap();
-    let origin = static_sys
+    let mut static_k = SimKernel::networked(base(150, 3), 25, None).unwrap();
+    let origin = static_k
         .true_matches(0)
         .first()
         .copied()
         .expect("matches exist");
-    let out = static_sys.route(origin, 0, LookupTarget::Total);
+    let out = static_k.route_live(origin, 0, LookupTarget::Total);
     assert_eq!(out.stale_answers, 0, "frozen build is perfectly fresh");
 }
 
