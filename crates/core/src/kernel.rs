@@ -139,7 +139,7 @@ pub enum LookupTarget {
 impl LookupTarget {
     /// Results the lookup needs before it stops: `C_t`, or every result
     /// (`usize::MAX`) for a total lookup.
-    pub fn need(self) -> usize {
+    pub(crate) fn need(self) -> usize {
         match self {
             LookupTarget::Partial(ct) => ct,
             LookupTarget::Total => usize::MAX,

@@ -158,26 +158,27 @@ impl Network {
     pub fn flood_reach(&self, origin: NodeId, ttl: u32) -> Vec<(NodeId, u32, SimTime)> {
         let mut seen = vec![false; self.len()];
         seen[origin.index()] = true;
-        let mut frontier = vec![(origin, SimTime::ZERO)];
-        let mut out = Vec::new();
+        // `out` doubles as the BFS queue: each hop expands the slice the
+        // previous hop appended (the origin, at index 0, for the first).
+        let mut out = vec![(origin, 0, SimTime::ZERO)];
+        let mut level = 0..1;
         for hop in 1..=ttl {
-            let mut next = Vec::new();
-            for &(u, du) in &frontier {
+            for i in level.clone() {
+                let (u, _, du) = out[i];
                 for e in self.graph.neighbors(u) {
                     let v = e.node;
                     if self.is_up(v) && !seen[v.index()] {
                         seen[v.index()] = true;
-                        let dv = du + e.latency;
-                        out.push((v, hop, dv));
-                        next.push((v, dv));
+                        out.push((v, hop, du + e.latency));
                     }
                 }
             }
-            frontier = next;
-            if frontier.is_empty() {
+            level = level.end..out.len();
+            if level.is_empty() {
                 break;
             }
         }
+        out.remove(0);
         out
     }
 
