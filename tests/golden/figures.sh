@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
 # Prints the sha256 of the stdout of every figure binary (run at
-# `--quick --seed 42`) and of every example (run with no flags), one
-# `<sha256>  <name>` line each — the format of `tests/golden/figures.txt`.
+# `--quick --seed 42`), of `multidomain_churn --quick --seed 42` in its
+# four deterministic modes plus the BENCH files those modes write, and
+# of every example (run with no flags), one `<sha256>  <name>` line
+# each — the format of `tests/golden/figures.txt`. The BENCH files are
+# left in the repository root.
 #
 # Build first, then compare with the checked-in table:
 #
@@ -16,6 +19,15 @@ examples=(churn_and_maintenance decision_support medical_collaboration quickstar
 for b in "${bins[@]}"; do
   digest=$(target/release/"$b" --quick --seed 42 2>/dev/null | sha256sum)
   echo "${digest%% *}  $b"
+done
+# `--reconcile` is left out: its table prints wall times.
+for mode in "" --latency --adaptive --rebirth; do
+  digest=$(target/release/multidomain_churn --quick --seed 42 $mode 2>/dev/null | sha256sum)
+  echo "${digest%% *}  multidomain_churn${mode:+ $mode}"
+done
+for f in BENCH_latency.json BENCH_alpha.json BENCH_rebirth.json; do
+  digest=$(sha256sum <"$f")
+  echo "${digest%% *}  $f"
 done
 for e in "${examples[@]}"; do
   digest=$(target/release/examples/"$e" 2>/dev/null | sha256sum)
