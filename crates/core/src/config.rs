@@ -272,12 +272,6 @@ impl SimConfig {
     /// ("1 query per node per 20 mns").
     pub const QUERY_RATE_PER_NODE_S: f64 = 0.00083;
 
-    /// The domain sizes the figures sweep.
-    pub const DOMAIN_SIZES: [usize; 7] = [16, 50, 100, 500, 1000, 2000, 5000];
-
-    /// The α values of Figure 4.
-    pub const ALPHAS: [f64; 4] = [0.1, 0.3, 0.5, 0.8];
-
     /// Validates ranges.
     pub fn validate(&self) -> Result<(), P2pError> {
         if self.n_peers == 0 {

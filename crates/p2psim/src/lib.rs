@@ -8,12 +8,12 @@
 //! * [`event`] / [`sim`] — a deterministic discrete-event core: a
 //!   timestamped event queue with FIFO tie-breaking and a seeded RNG, so
 //!   every experiment is reproducible from a `--seed`;
-//! * [`rng`] — the distributions the paper's setup needs (skewed lognormal
-//!   lifetimes with mean 3 h / median 1 h, exponential, Weibull, Zipf),
+//! * [`rng`] — the lifetime distributions the paper's setup needs (skewed
+//!   lognormal with mean 3 h / median 1 h, exponential, Weibull),
 //!   implemented on plain `rand`;
-//! * [`topology`] — BRITE-style generators: Barabási–Albert preferential
-//!   attachment ("power law P2P network, with an average degree of 4"),
-//!   Waxman, plus regular test graphs; nodes live on a plane and link
+//! * [`topology`] — the BRITE-style Barabási–Albert preferential
+//!   attachment generator ("power law P2P network, with an average degree
+//!   of 4"), plus regular test graphs; nodes live on a plane and link
 //!   latency grows with euclidean distance;
 //! * [`churn`] — session schedules: node join/leave streams drawn from a
 //!   lifetime distribution;
@@ -26,7 +26,6 @@ pub mod event;
 pub mod network;
 pub mod rng;
 pub mod sim;
-pub mod stats;
 pub mod time;
 pub mod topology;
 

@@ -123,14 +123,6 @@ impl<E> Simulator<E> {
         self.processed += 1;
         Some((at, payload))
     }
-
-    /// Runs the whole simulation through a handler; the handler may
-    /// schedule further events through the `&mut Simulator` it receives.
-    pub fn run<F: FnMut(&mut Simulator<E>, SimTime, E)>(&mut self, mut handler: F) {
-        while let Some((t, ev)) = self.next_event() {
-            handler(self, t, ev);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -196,12 +188,12 @@ mod tests {
         let mut sim = Simulator::<Ev>::new(1);
         sim.schedule_at(SimTime::from_secs(1), Ev::Tick(0));
         let mut count = 0u32;
-        sim.run(|s, _, Ev::Tick(n)| {
+        while let Some((_, Ev::Tick(n))) = sim.next_event() {
             count += 1;
             if n < 9 {
-                s.schedule_in(SimTime::from_secs(1), Ev::Tick(n + 1));
+                sim.schedule_in(SimTime::from_secs(1), Ev::Tick(n + 1));
             }
-        });
+        }
         assert_eq!(count, 10);
         assert_eq!(sim.now(), SimTime::from_secs(10));
     }
