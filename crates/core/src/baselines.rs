@@ -42,8 +42,8 @@ pub fn flood_query<F: Fn(NodeId) -> bool>(
     ttl: u32,
     matches: F,
 ) -> BaselineOutcome {
-    let forwards = net.flood_message_count(origin, ttl);
     let reached = net.flood_reach(origin, ttl);
+    let forwards = net.flood_forwards(origin, ttl, &reached);
     let hits_total = (0..net.len() as u32)
         .map(NodeId)
         .filter(|&p| net.is_up(p) && matches(p))

@@ -106,36 +106,9 @@ pub fn construct_domains(net: &mut Network, superpeers: &[NodeId], ttl: u32) -> 
         net.count_messages(MessageClass::Construction, msgs);
     }
 
-    // Peers adopt the closest SP (latency along the broadcast tree). We
-    // recompute reach with per-path latencies: BFS by hops, accumulating
-    // link latency.
+    // Peers adopt the closest SP (latency along the broadcast tree).
     for &sp in superpeers {
-        let mut dist: Vec<Option<u64>> = vec![None; n];
-        dist[sp.index()] = Some(0);
-        let mut frontier = vec![sp];
-        for _ in 0..ttl {
-            let mut next = Vec::new();
-            for &u in &frontier {
-                let du = dist[u.index()].expect("frontier has distance");
-                let nbrs: Vec<(NodeId, SimTime)> = net
-                    .graph()
-                    .neighbors(u)
-                    .iter()
-                    .map(|e| (e.node, e.latency))
-                    .collect();
-                for (v, lat) in nbrs {
-                    if !net.is_up(v) {
-                        continue;
-                    }
-                    let dv = du + lat.0;
-                    if dist[v.index()].map(|old| dv < old).unwrap_or(true) {
-                        dist[v.index()] = Some(dv);
-                        next.push(v);
-                    }
-                }
-            }
-            frontier = next;
-        }
+        let dist = broadcast_distances(net, sp, ttl);
         for i in 0..n {
             let p = NodeId(i as u32);
             if p == sp || superpeers.contains(&p) {
@@ -163,18 +136,9 @@ pub fn construct_domains(net: &mut Network, superpeers: &[NodeId], ttl: u32) -> 
         if assignment[i].is_some() || superpeers.contains(&p) || !net.is_up(p) {
             continue;
         }
-        let max_hops = (n as u32).min(64);
-        let (path, found) = net.selective_walk(p, max_hops, |v| {
-            superpeers.contains(&v) || assignment[v.index()].is_some()
-        });
-        net.count_messages(MessageClass::Construction, path.len() as u64); // find hops
-        if found {
-            let reached = *path.last().expect("found implies non-empty path");
-            let sp = if superpeers.contains(&reached) {
-                reached
-            } else {
-                assignment[reached.index()].expect("partner has an SP")
-            };
+        let (hops, found) = walk_to_domain(net, p, superpeers, &assignment);
+        net.count_messages(MessageClass::Construction, hops); // find hops
+        if let Some(sp) = found {
             assignment[i] = Some(sp);
             distance[i] = u64::MAX - 1; // out-of-broadcast partner: distance unknown
             net.count_message(MessageClass::Construction); // localsum
@@ -231,34 +195,50 @@ pub fn handle_sp_departure(
     sp: NodeId,
     graceful: bool,
 ) -> usize {
+    // Dissolution cleared every assignment to `sp`, so the walk stops
+    // only at a surviving SP or a partner of one.
     let members = dissolve_domain(net, domains, sp, graceful);
-    let remaining = domains.superpeers.clone();
     let mut rehomed = 0;
     for p in members {
         if !net.is_up(p) {
             continue;
         }
-        let max_hops = (net.len() as u32).min(64);
-        let (path, found) = net.selective_walk(p, max_hops, |v| {
-            remaining.contains(&v)
-                || domains.assignment[v.index()]
-                    .map(|s| s != sp)
-                    .unwrap_or(false)
-        });
-        net.count_messages(MessageClass::Construction, path.len() as u64);
-        if found {
-            let reached = *path.last().expect("non-empty");
-            let new_sp = if remaining.contains(&reached) {
-                reached
-            } else {
-                domains.assignment[reached.index()].expect("partner has an SP")
-            };
+        let (hops, found) = walk_to_domain(net, p, &domains.superpeers, &domains.assignment);
+        net.count_messages(MessageClass::Construction, hops);
+        if let Some(new_sp) = found {
             domains.assignment[p.index()] = Some(new_sp);
             net.count_message(MessageClass::Construction); // localsum
             rehomed += 1;
         }
     }
     rehomed
+}
+
+/// §4.1's selective `find` walk from `p`: forwards to the highest-degree
+/// unvisited live neighbor until it reaches one of `superpeers` or a
+/// peer assigned in `assignment`, for at most `min(n, 64)` hops ("once
+/// a partner or a summary peer is reached, the find message is
+/// stopped"). Returns the hops walked — one `find` message each, for
+/// the caller to account — and the SP of the domain reached, if any.
+pub(crate) fn walk_to_domain(
+    net: &Network,
+    p: NodeId,
+    superpeers: &[NodeId],
+    assignment: &[Option<NodeId>],
+) -> (u64, Option<NodeId>) {
+    let max_hops = (net.len() as u32).min(64);
+    let (path, found) = net.selective_walk(p, max_hops, |v| {
+        superpeers.contains(&v) || assignment[v.index()].is_some()
+    });
+    let sp = found.then(|| {
+        let reached = *path.last().expect("found implies non-empty path");
+        if superpeers.contains(&reached) {
+            reached
+        } else {
+            assignment[reached.index()].expect("partner has an SP")
+        }
+    });
+    (path.len() as u64, sp)
 }
 
 /// How many of the highest-degree live members stand as candidates in
@@ -305,17 +285,12 @@ fn broadcast_distances(net: &Network, origin: NodeId, ttl: u32) -> Vec<Option<u6
         let mut next = Vec::new();
         for &u in &frontier {
             let du = dist[u.index()].expect("frontier has distance");
-            let nbrs: Vec<(NodeId, SimTime)> = net
-                .graph()
-                .neighbors(u)
-                .iter()
-                .map(|e| (e.node, e.latency))
-                .collect();
-            for (v, lat) in nbrs {
+            for e in net.graph().neighbors(u) {
+                let v = e.node;
                 if !net.is_up(v) {
                     continue;
                 }
-                let dv = du + lat.0;
+                let dv = du + e.latency.0;
                 if dist[v.index()].map(|old| dv < old).unwrap_or(true) {
                     dist[v.index()] = Some(dv);
                     next.push(v);

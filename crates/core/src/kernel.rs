@@ -112,7 +112,7 @@ use crate::cache::QueryCache;
 use crate::config::{LatencyConfig, SimConfig};
 use crate::construction::{
     construct_domains, dissolve_domain, elect_replacement_sp, elect_superpeers,
-    handle_sp_departure, rebirth_broadcast, Domains, ElectionPolicy,
+    handle_sp_departure, rebirth_broadcast, walk_to_domain, Domains, ElectionPolicy,
 };
 use crate::control::AlphaController;
 use crate::error::P2pError;
@@ -1804,24 +1804,10 @@ impl SimKernel {
     /// domain index, or `None` when the walk found nobody.
     fn rehome_orphan(&mut self, p: NodeId) -> Option<usize> {
         let sps: Vec<NodeId> = self.sp_index.keys().copied().collect();
-        let (path, found) = {
-            let net = self.net.as_ref()?;
-            let topo = self.topo.as_ref()?;
-            let max_hops = (net.len() as u32).min(64);
-            net.selective_walk(p, max_hops, |v| {
-                sps.contains(&v) || topo.assignment[v.index()].is_some()
-            })
-        };
-        self.ledger.count(&Message::Find, path.len() as u64);
-        if !found {
-            return None;
-        }
-        let reached = *path.last().expect("found implies non-empty path");
-        let sp = if sps.contains(&reached) {
-            reached
-        } else {
-            self.topo.as_ref()?.assignment[reached.index()].expect("partner has an SP")
-        };
+        let (hops, found) =
+            walk_to_domain(self.net.as_ref()?, p, &sps, &self.topo.as_ref()?.assignment);
+        self.ledger.count(&Message::Find, hops);
+        let sp = found?;
         // Adopt the domain only if its SP is actually alive — never
         // leave the assignment pointing at a departed one.
         let d = *self.sp_index.get(&sp)?;

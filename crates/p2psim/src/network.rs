@@ -186,32 +186,26 @@ impl Network {
     /// (every live node within reach forwards to all its live neighbors
     /// except where TTL expires — the classic Gnutella cost).
     pub fn flood_message_count(&self, origin: NodeId, ttl: u32) -> u64 {
-        // Each node that receives the query with remaining TTL > 0
-        // forwards to all live neighbors. The origin sends to all of its
-        // neighbors with TTL = ttl.
+        self.flood_forwards(origin, ttl, &self.flood_reach(origin, ttl))
+    }
+
+    /// [`Network::flood_message_count`] from a reach already computed by
+    /// [`Network::flood_reach`]`(origin, ttl)`: the origin and every
+    /// reached node with TTL left (hop < `ttl`) forward to all their live
+    /// neighbors, duplicates included. Zero when `ttl` is 0 or the
+    /// origin is down.
+    pub fn flood_forwards(
+        &self,
+        origin: NodeId,
+        ttl: u32,
+        reach: &[(NodeId, u32, SimTime)],
+    ) -> u64 {
         if ttl == 0 || !self.is_up(origin) {
             return 0;
         }
-        let mut msgs = 0u64;
-        let mut seen = vec![false; self.len()];
-        seen[origin.index()] = true;
-        let mut frontier = vec![origin];
-        let mut remaining = ttl;
-        while remaining > 0 && !frontier.is_empty() {
-            let mut next = Vec::new();
-            for &u in &frontier {
-                for v in self.live_neighbors(u) {
-                    msgs += 1; // every forward is a message, duplicates too
-                    if !seen[v.index()] {
-                        seen[v.index()] = true;
-                        next.push(v);
-                    }
-                }
-            }
-            frontier = next;
-            remaining -= 1;
-        }
-        msgs
+        let live_degree = |u| self.live_neighbors(u).count() as u64;
+        let relays = reach.iter().filter(|&&(_, hop, _)| hop < ttl);
+        live_degree(origin) + relays.map(|&(v, _, _)| live_degree(v)).sum::<u64>()
     }
 
     /// One step of a *random walk* over live neighbors.
@@ -343,11 +337,17 @@ mod tests {
 
     #[test]
     fn flood_cost_on_star_is_exact() {
-        let n = Network::new(Graph::star(6, SimTime::from_millis(1)));
+        let mut n = Network::new(Graph::star(6, SimTime::from_millis(1)));
         // From center: 5 messages at hop 1; then each leaf forwards back
         // to the center (duplicate) at hop 2: 5 more.
         assert_eq!(n.flood_message_count(NodeId(0), 1), 5);
         assert_eq!(n.flood_message_count(NodeId(0), 2), 10);
+        // A down leaf neither receives nor forwards; a down origin sends
+        // nothing.
+        n.take_down(NodeId(5));
+        assert_eq!(n.flood_message_count(NodeId(0), 2), 8);
+        n.take_down(NodeId(0));
+        assert_eq!(n.flood_message_count(NodeId(0), 2), 0);
     }
 
     #[test]
