@@ -31,12 +31,12 @@ fn main() {
         .iter()
         .map(|r| {
             vec![
-                r.n.to_string(),
+                r.n_peers.to_string(),
                 format!("{:.1}", r.alpha),
-                f4(r.worst_stale),
-                f4(r.report.mean_stale_selected / r.n as f64),
-                f4(r.report.mean_stale_unselected / r.n as f64),
-                r.report.reconciliations.to_string(),
+                f4(r.worst_stale_fraction()),
+                f4(r.mean_stale_selected / r.n_peers as f64),
+                f4(r.mean_stale_unselected / r.n_peers as f64),
+                r.reconciliations.to_string(),
             ]
         })
         .collect();
@@ -55,11 +55,11 @@ fn main() {
     // The paper's calibration point.
     if let Some(r) = rows
         .iter()
-        .find(|r| r.n == 500 && (r.alpha - 0.3).abs() < 1e-9)
+        .find(|r| r.n_peers == 500 && (r.alpha - 0.3).abs() < 1e-9)
     {
         println!(
             "paper check: n=500, alpha=0.3 -> stale fraction {:.3} (paper: ~0.11)",
-            r.worst_stale
+            r.worst_stale_fraction()
         );
     }
 }

@@ -31,17 +31,18 @@ fn main() {
         .iter()
         .zip(&worst)
         .map(|(r, w)| {
-            let reduction = if r.real_fn > 0.0 {
-                w.worst_stale / r.real_fn
+            let (real_fn, worst) = (r.real_fn_fraction(), w.worst_stale_fraction());
+            let reduction = if real_fn > 0.0 {
+                worst / real_fn
             } else {
                 f64::NAN
             };
             vec![
-                r.n.to_string(),
-                f4(r.real_fn),
-                f4(w.worst_stale),
+                r.n_peers.to_string(),
+                f4(real_fn),
+                f4(worst),
                 format!("{reduction:.1}"),
-                f4(r.report.mean_recall()),
+                f4(r.mean_recall()),
             ]
         })
         .collect();
@@ -50,10 +51,13 @@ fn main() {
     println!("{}", render_table(&headers, &table_rows));
     println!("CSV:\n{}", render_csv(&headers, &table_rows));
 
-    let below_2000: Vec<&summary_p2p::scenario::StalePoint> =
-        real.iter().filter(|r| r.n < 2000).collect();
+    let below_2000: Vec<f64> = real
+        .iter()
+        .filter(|r| r.n_peers < 2000)
+        .map(|r| r.real_fn_fraction())
+        .collect();
     if !below_2000.is_empty() {
-        let max_fn = below_2000.iter().map(|r| r.real_fn).fold(0.0, f64::max);
+        let max_fn = below_2000.iter().copied().fold(0.0, f64::max);
         println!("paper check: max real-FN fraction below n=2000 is {max_fn:.3} (paper: <=0.03)");
     }
 }

@@ -7,6 +7,7 @@
 //! costs only ≈1.2× more traffic while sharply improving accuracy.
 
 use summary_p2p::config::SimConfig;
+use summary_p2p::metrics::DomainReport;
 use summary_p2p::scenario::figure6;
 
 use sumq_bench::{render_csv, render_table, Cli};
@@ -25,11 +26,11 @@ fn main() {
         .iter()
         .map(|r| {
             vec![
-                r.n.to_string(),
+                r.n_peers.to_string(),
                 format!("{:.1}", r.alpha),
-                r.total_messages.to_string(),
-                r.token_counted.to_string(),
-                format!("{:.6}", r.per_node_s),
+                r.update_messages().to_string(),
+                r.update_messages_token_counted().to_string(),
+                format!("{:.6}", r.update_messages_per_node_s()),
                 r.reconciliations.to_string(),
             ]
         })
@@ -52,15 +53,12 @@ fn main() {
     let mut hop_ratios = Vec::new();
     let mut token_ratios = Vec::new();
     for &n in &sizes {
-        let tight = rows.iter().find(|r| r.n == n && r.alpha == 0.3);
-        let lax = rows.iter().find(|r| r.n == n && r.alpha == 0.8);
+        let tight = rows.iter().find(|r| r.n_peers == n && r.alpha == 0.3);
+        let lax = rows.iter().find(|r| r.n_peers == n && r.alpha == 0.8);
         if let (Some(t), Some(l)) = (tight, lax) {
-            if l.total_messages > 0 {
-                hop_ratios.push(t.total_messages as f64 / l.total_messages as f64);
-            }
-            if l.token_counted > 0 {
-                token_ratios.push(t.token_counted as f64 / l.token_counted as f64);
-            }
+            let ratio = |f: fn(&DomainReport) -> u64| (f(l) > 0).then(|| f(t) as f64 / f(l) as f64);
+            hop_ratios.extend(ratio(DomainReport::update_messages));
+            token_ratios.extend(ratio(DomainReport::update_messages_token_counted));
         }
     }
     if !hop_ratios.is_empty() {

@@ -31,7 +31,7 @@ fn main() {
         cfg.horizon = p2psim::time::SimTime::from_hours(8);
         let pts =
             figure4(&[if cli.quick { 100 } else { 500 }], &[0.3], &cfg).expect("valid config");
-        pts[0].worst_stale
+        pts[0].worst_stale_fraction()
     };
     eprintln!(
         "fig7: using FP = {fp:.3} (paper: ~0.11); sweeping {} sizes ...",

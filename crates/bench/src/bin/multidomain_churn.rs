@@ -76,7 +76,6 @@ fn main() {
         write_rebirth_summary(&cli);
         return;
     }
-    let n = if cli.quick { 300 } else { 1500 };
     let scales: &[f64] = if cli.quick {
         &[0.5, 2.0, 4.0]
     } else {
@@ -86,17 +85,8 @@ fn main() {
 
     let mut rows = Vec::new();
     for &alpha in &alphas {
-        let mut base = SimConfig::paper_defaults(n, alpha);
-        base.seed = cli.seed;
-        base.records_per_peer = 16;
-        base.query_count = if cli.quick { 60 } else { 200 };
-        if cli.latency {
-            base = with_latency(&base, SimTime::from_millis(50));
-        }
-        if cli.zipf {
-            base.zipf_exponent = Some(1.2);
-        }
-
+        let base = base_config(&cli, alpha);
+        let n = base.n_peers;
         eprintln!(
             "multidomain-churn: {} peers in ~{} domains, alpha {alpha}, {} churn scales{} ...",
             n,
@@ -108,21 +98,21 @@ fn main() {
                 ""
             }
         );
-        let points =
+        let reports =
             figure_multidomain_churn(scales, &base, 50, LookupTarget::Total).expect("valid config");
-        for p in points {
+        for (scale, r) in scales.iter().zip(reports) {
             rows.push(vec![
-                f1(p.churn_scale),
+                f1(*scale),
                 format!("{alpha:.1}"),
-                p.report.queries.to_string(),
-                f4(p.mean_recall),
-                f4(p.mean_stale_answers),
-                f4(p.mean_false_negatives),
-                f1(p.mean_messages),
-                f4(p.mean_time_to_answer_s),
-                p.reconciliations.to_string(),
-                p.report.push_messages.to_string(),
-                p.report.cache_hits.to_string(),
+                r.queries.to_string(),
+                f4(r.mean_recall),
+                f4(r.mean_stale_answers),
+                f4(r.mean_false_negatives),
+                f1(r.mean_messages),
+                f4(r.mean_time_to_answer_s),
+                r.reconciliations.to_string(),
+                r.push_messages.to_string(),
+                r.cache_hits.to_string(),
             ]);
         }
     }
@@ -144,34 +134,50 @@ fn main() {
     println!("{}", render_csv(&headers, &rows));
 
     if cli.latency {
-        write_latency_summary(&cli, n);
+        write_latency_summary(&cli);
     }
+}
+
+/// The network every dynamic mode starts from: paper defaults at the
+/// mode's size (300 peers quick, 1 500 full) and `alpha`, the seed, 16
+/// records a peer and 60 (quick) or 200 lookups, plus the `--latency`
+/// plane (50 ms hops) and `--zipf` popularity when asked for.
+fn base_config(cli: &Cli, alpha: f64) -> SimConfig {
+    let mut base = SimConfig::paper_defaults(if cli.quick { 300 } else { 1500 }, alpha);
+    base.seed = cli.seed;
+    base.records_per_peer = 16;
+    base.query_count = if cli.quick { 60 } else { 200 };
+    if cli.latency {
+        base = with_latency(&base, SimTime::from_millis(50));
+    }
+    if cli.zipf {
+        base.zipf_exponent = Some(1.2);
+    }
+    base
 }
 
 /// Runs the hop-latency sweep and writes `BENCH_latency.json` — the
 /// perf-trajectory summary of the message plane.
-fn write_latency_summary(cli: &Cli, n: usize) {
+fn write_latency_summary(cli: &Cli) {
     let hops: &[u64] = if cli.quick {
         &[5, 200, 2000]
     } else {
         &[1, 5, 50, 200, 2000, 20_000]
     };
-    let mut base = SimConfig::paper_defaults(n, 0.3);
-    base.seed = cli.seed;
-    base.records_per_peer = 16;
-    base.query_count = if cli.quick { 60 } else { 200 };
+    // Each sweep point replaces the base's 50 ms hop with its own.
+    let base = base_config(cli, 0.3);
     eprintln!("latency sweep: {} hop settings ...", hops.len());
     let points = figure_latency_sweep(hops, &base, 50, LookupTarget::Total).expect("valid config");
 
     let mut sweep = String::new();
-    for (i, p) in points.iter().enumerate() {
+    for (i, (hop_ms, p)) in hops.iter().zip(&points).enumerate() {
         if i > 0 {
             sweep.push(',');
         }
         sweep.push_str(&format!(
             "\n    {{\"hop_ms\": {}, \"mean_time_to_answer_s\": {:.6}, \"peak_in_flight\": {}, \
              \"mean_recall\": {:.6}, \"mean_stale_answers\": {:.6}, \"mean_messages\": {:.2}}}",
-            p.hop_ms,
+            hop_ms,
             p.mean_time_to_answer_s,
             p.peak_in_flight,
             p.mean_recall,
@@ -183,7 +189,7 @@ fn write_latency_summary(cli: &Cli, n: usize) {
     let json = format!(
         "{{\n  \"bench\": \"latency_plane\",\n  \"n_peers\": {},\n  \"seed\": {},\n  \
          \"mean_time_to_answer_s\": {:.6},\n  \"peak_in_flight\": {},\n  \"sweep\": [{}\n  ]\n}}\n",
-        n, cli.seed, mid.mean_time_to_answer_s, mid.peak_in_flight, sweep
+        base.n_peers, cli.seed, mid.mean_time_to_answer_s, mid.peak_in_flight, sweep
     );
     fs::write("BENCH_latency.json", &json).expect("write BENCH_latency.json");
     eprintln!("wrote BENCH_latency.json");
@@ -195,7 +201,6 @@ fn write_latency_summary(cli: &Cli, n: usize) {
 /// its staleness target, at no more pull bytes than the best fixed α
 /// of comparable staleness.
 fn write_alpha_summary(cli: &Cli) {
-    let n = if cli.quick { 300 } else { 1500 };
     let fixed: &[f64] = &[0.1, 0.2, 0.3, 0.5, 0.8];
     let target_staleness = 0.2;
     let policy = ControlPolicy::Adaptive {
@@ -207,17 +212,12 @@ fn write_alpha_summary(cli: &Cli) {
     };
     // base.alpha doubles as the adaptive controller's starting point:
     // mid-range, so neither frontier end is favored by the transient.
-    let mut base = SimConfig::paper_defaults(n, 0.5);
-    base.seed = cli.seed;
-    base.records_per_peer = 16;
-    base.query_count = if cli.quick { 120 } else { 200 };
-    if cli.latency {
-        base = with_latency(&base, SimTime::from_millis(50));
-    }
-    if cli.zipf {
-        base.zipf_exponent = Some(1.2);
+    let mut base = base_config(cli, 0.5);
+    if cli.quick {
+        base.query_count = 120;
     }
     let base = with_heterogeneous_drift(&base, 4.0);
+    let n = base.n_peers;
     eprintln!(
         "adaptive-alpha frontier: {} peers, drift spread 4.0, {} fixed alphas + adaptive{}{} ...",
         n,
@@ -231,6 +231,12 @@ fn write_alpha_summary(cli: &Cli) {
     );
     let points =
         figure_alpha_adaptive(fixed, policy, &base, 50, LookupTarget::Total).expect("valid config");
+    // One label per report: the fixed rows in order, the adaptive row last.
+    let labels: Vec<String> = fixed
+        .iter()
+        .map(|a| format!("fixed-{a:.2}"))
+        .chain(std::iter::once("adaptive".into()))
+        .collect();
 
     let headers = [
         "policy",
@@ -241,9 +247,10 @@ fn write_alpha_summary(cli: &Cli) {
         "mean_final_alpha",
         "alpha_spread",
     ];
-    let rows: Vec<Vec<String>> = points
+    let rows: Vec<Vec<String>> = labels
         .iter()
-        .map(|p| {
+        .zip(&points)
+        .map(|(label, p)| {
             let (lo, hi) = p
                 .final_alphas
                 .iter()
@@ -251,8 +258,8 @@ fn write_alpha_summary(cli: &Cli) {
                     (lo.min(a), hi.max(a))
                 });
             vec![
-                p.label.clone(),
-                f4(p.stale_answer_fraction),
+                label.clone(),
+                f4(p.mean_stale_answer_fraction),
                 f4(p.mean_recall),
                 f1(p.reconcile_delta_bytes as f64 / 1024.0),
                 p.reconciliations.to_string(),
@@ -266,20 +273,20 @@ fn write_alpha_summary(cli: &Cli) {
 
     let adaptive = points.last().expect("adaptive row is always appended");
     let stale_within_band =
-        (adaptive.stale_answer_fraction - target_staleness).abs() <= 0.2 * target_staleness;
+        (adaptive.mean_stale_answer_fraction - target_staleness).abs() <= 0.2 * target_staleness;
     // The fixed comparator: cheapest pull bytes among the fixed rows
     // achieving staleness at least as good as the adaptive run did (a
     // staler fixed α is not achieving comparable staleness — it sits
     // on an easier point of the frontier).
     let best_fixed = points[..points.len() - 1]
         .iter()
-        .filter(|p| p.stale_answer_fraction <= adaptive.stale_answer_fraction * 1.05)
+        .filter(|p| p.mean_stale_answer_fraction <= adaptive.mean_stale_answer_fraction * 1.05)
         .min_by_key(|p| p.reconcile_delta_bytes);
     let bytes_within_best_fixed =
         best_fixed.is_none_or(|b| adaptive.reconcile_delta_bytes <= b.reconcile_delta_bytes);
 
     let mut sweep = String::new();
-    for (i, p) in points.iter().enumerate() {
+    for (i, (label, p)) in labels.iter().zip(&points).enumerate() {
         if i > 0 {
             sweep.push(',');
         }
@@ -294,8 +301,8 @@ fn write_alpha_summary(cli: &Cli) {
              \"mean_recall\": {:.6}, \"reconcile_delta_bytes\": {}, \
              \"reconciliations\": {}, \"mean_final_alpha\": {:.6}, \
              \"final_alphas\": [{}]}}",
-            p.label,
-            p.stale_answer_fraction,
+            label,
+            p.mean_stale_answer_fraction,
             p.mean_recall,
             p.reconcile_delta_bytes,
             p.reconciliations,
@@ -313,12 +320,10 @@ fn write_alpha_summary(cli: &Cli) {
         n,
         cli.seed,
         target_staleness,
-        adaptive.stale_answer_fraction,
+        adaptive.mean_stale_answer_fraction,
         stale_within_band,
         adaptive.reconcile_delta_bytes,
-        best_fixed
-            .and_then(|b| b.fixed_alpha)
-            .map_or("null".into(), |a| format!("{a:.2}")),
+        best_fixed.map_or("null".into(), |b| format!("{:.2}", b.alpha)),
         best_fixed.map_or("null".into(), |b| b.reconcile_delta_bytes.to_string()),
         bytes_within_best_fixed,
         sweep
@@ -336,24 +341,15 @@ fn write_alpha_summary(cli: &Cli) {
 /// trajectory, and the ±10% stationarity check on the time-weighted
 /// mean live-domain count.
 fn write_rebirth_summary(cli: &Cli) {
-    let n = if cli.quick { 300 } else { 1500 };
     let horizon_h = if cli.quick { 12 } else { 24 };
     let sp_mean_s = if cli.quick {
         2.0 * 3600.0
     } else {
         4.0 * 3600.0
     };
-    let mut base = SimConfig::paper_defaults(n, 0.3);
-    base.seed = cli.seed;
-    base.records_per_peer = 16;
-    base.query_count = if cli.quick { 60 } else { 200 };
+    let mut base = base_config(cli, 0.3);
     base.horizon = SimTime::from_hours(horizon_h);
-    if cli.latency {
-        base = with_latency(&base, SimTime::from_millis(50));
-    }
-    if cli.zipf {
-        base.zipf_exponent = Some(1.2);
-    }
+    let n = base.n_peers;
     eprintln!(
         "sp-rebirth stationarity: {n} peers in ~{} domains over {horizon_h} h, \
          SP mean lifetime {:.0} h, rebirth off vs on{} ...",
@@ -378,15 +374,16 @@ fn write_rebirth_summary(cli: &Cli) {
         "stale_answers",
         "reconciliations",
     ];
-    let rows: Vec<Vec<String>> = points
+    let rows: Vec<Vec<String>> = [false, true]
         .iter()
-        .map(|p| {
+        .zip(&points)
+        .map(|(rebirth, p)| {
             vec![
-                p.rebirth.to_string(),
+                rebirth.to_string(),
                 p.initial_domains.to_string(),
-                p.final_domains.to_string(),
+                p.n_domains.to_string(),
                 p.min_live_domains.to_string(),
-                f1(p.mean_live_domains),
+                f1(p.mean_live_domains()),
                 p.rebirths.to_string(),
                 f4(p.mean_recall),
                 f4(p.mean_stale_answers),
@@ -401,9 +398,8 @@ fn write_rebirth_summary(cli: &Cli) {
     let on = &points[1];
     let initial = on.initial_domains as f64;
     let stationary_within_10pct =
-        initial > 0.0 && (on.mean_live_domains - initial).abs() <= 0.1 * initial;
+        initial > 0.0 && (on.mean_live_domains() - initial).abs() <= 0.1 * initial;
     let trajectory = on
-        .report
         .domain_count_trajectory
         .iter()
         .map(|(t, n)| format!("[{t:.1}, {n}]"))
@@ -423,11 +419,11 @@ fn write_rebirth_summary(cli: &Cli) {
         horizon_h,
         sp_mean_s,
         on.initial_domains,
-        off.final_domains,
-        off.mean_live_domains,
-        on.final_domains,
+        off.n_domains,
+        off.mean_live_domains(),
+        on.n_domains,
         on.min_live_domains,
-        on.mean_live_domains,
+        on.mean_live_domains(),
         on.rebirths,
         stationary_within_10pct,
         off.mean_recall,
@@ -438,7 +434,7 @@ fn write_rebirth_summary(cli: &Cli) {
     eprintln!(
         "wrote BENCH_rebirth.json (rebirths: {}, stationary_within_10pct: \
          {stationary_within_10pct}, off decayed to {}/{} domains)",
-        on.rebirths, off.final_domains, off.initial_domains
+        on.rebirths, off.n_domains, off.initial_domains
     );
 }
 

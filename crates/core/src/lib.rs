@@ -69,7 +69,8 @@
 //!   (`DomainReport`, `MultiDomainReport`);
 //! * [`scenario`] — the experiment drivers regenerating Figures 4–7 plus
 //!   [`scenario::figure_multidomain_churn`], the unified kernel's
-//!   churn-under-routing experiment.
+//!   churn-under-routing experiment; simulation drivers return the
+//!   reports they ran, one per swept value.
 
 pub mod baselines;
 pub mod cache;
