@@ -8,8 +8,9 @@
 //! summary itself. Total merge work is identical — the ablation shows
 //! the *SP-side* work differs, which is the point of the ring. The
 //! incremental group then shows the round cost collapsing from
-//! O(members) decodes + merges to O(stale subset) + one canonical
-//! store.
+//! O(members) decodes + merges to O(stale subset) pulls + one canonical
+//! store, and the pull group prices one pull straight from the bytes
+//! against decoding the summary into a tree first.
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -128,7 +129,7 @@ fn bench_incremental_vs_full(c: &mut Criterion) {
         // Re-applying the same updates is idempotent (each replaces its
         // source's entry), so the primed accumulator can be mutated in
         // place across iterations — the timed region is exactly one
-        // incremental round: |dirty| decodes + the canonical store.
+        // incremental round: |dirty| pulls + the canonical store.
         group.bench_function(BenchmarkId::new("incremental_1pct", peers), |b| {
             b.iter(|| {
                 for &i in &dirty {
@@ -143,10 +144,46 @@ fn bench_incremental_vs_full(c: &mut Criterion) {
     group.finish();
 }
 
+/// One pull into a 1 000-member accumulator: the leaf records read
+/// straight from the bytes, against `decode` into a tree and then
+/// `update_source`. Both replace a source's entry with the same
+/// contribution it already holds, so the accumulator stays as primed.
+fn bench_pull(c: &mut Criterion) {
+    let peers = 1_000usize;
+    let summaries = local_summaries(peers, 5);
+    let mut primed = GsAccumulator::new("medical-cbk-v1", vec![3, 3, 3, 12]);
+    for (i, s) in summaries.iter().enumerate() {
+        primed
+            .update_source_encoded(SourceId(i as u32), s)
+            .expect("decodes");
+    }
+    let mut group = c.benchmark_group("pull");
+    let mut next = 0usize;
+    group.bench_function(BenchmarkId::new("update_source_encoded", peers), |b| {
+        b.iter(|| {
+            next = (next + 1) % peers;
+            primed
+                .update_source_encoded(SourceId(next as u32), &summaries[next])
+                .expect("decodes")
+        })
+    });
+    group.bench_function(BenchmarkId::new("decode_then_update_source", peers), |b| {
+        b.iter(|| {
+            next = (next + 1) % peers;
+            let tree = wire::decode(&summaries[next]).expect("decodes");
+            primed
+                .update_source(SourceId(next as u32), &tree)
+                .expect("same CBK")
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_rebuild,
     bench_ring_vs_star,
-    bench_incremental_vs_full
+    bench_incremental_vs_full,
+    bench_pull
 );
 criterion_main!(benches);

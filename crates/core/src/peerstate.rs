@@ -22,9 +22,11 @@
 //! only
 //!
 //! 1. pulls the *stale subset*: CL entries flagged `NeedsRefresh` /
-//!    `Unavailable` that are still live are decoded and re-folded via
-//!    `update_source` (O(|stale|) decode + merge work — the paper's
-//!    §6.1 cost unit now scales with what changed);
+//!    `Unavailable` that are still live are re-read via
+//!    `update_source_encoded`, which folds the shipped summary's leaf
+//!    records straight into the accumulator without decoding a tree
+//!    (O(|stale|) pull work — the paper's §6.1 cost unit now scales
+//!    with what changed);
 //! 2. expires departed members via `remove_source` (O(1) each);
 //! 3. stores the canonical merged view ([`GsAccumulator::build_merged`]).
 //!    This store is Θ(|GS|) — and the GS's per-source cell entries make
@@ -32,10 +34,11 @@
 //!    is inherent to materializing `NewGS` at all (the §4.2.2 token's
 //!    final hop carries the same payload). The build folds each cell's
 //!    contributors in one pass, so its per-contribution cost is a few
-//!    adds; the expensive per-member decode + Cobweb re-merge is what
-//!    the accumulator eliminates. At 1 000 members and 1% drift a round
-//!    takes ≈5 ms against ≈46 ms for the full rebuild
-//!    (`BENCH_reconcile.json`, seed 42, release, 2-core x86-64).
+//!    adds; the expensive per-member Cobweb re-merge is what the
+//!    accumulator eliminates. At 1 000 members and 1% drift a round
+//!    takes ≈4 ms against ≈14 ms for the full rebuild (every member
+//!    pulled into a fresh accumulator, then one build;
+//!    `BENCH_reconcile.json`, seed 42, release, 2-core x86-64).
 //!
 //! Fresh live members are *skipped*: their stored contribution is, by
 //! the push-protocol invariant, identical to their current local

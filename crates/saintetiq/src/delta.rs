@@ -19,16 +19,22 @@
 //! wire encodings — the property the domain layer's full-rebuild oracle
 //! and the `gs_incremental` property tests rely on.
 //!
-//! Cost model: an update decodes and flattens only the changed source,
-//! so the *merge/decode work* per round (the paper's §6.1 cost unit)
-//! scales with the stale subset. `build_merged` stays Θ(contributions):
-//! the merged summary stores one per-source entry per (source, cell)
-//! pair, as the §4.2.2 `NewGS` token does. But each contribution costs
-//! only a content add, a statistics merge and one weight in its cell's
-//! path walk; Cobweb placement and the walks themselves scale with
-//! cells × depth. Contributions are stored by cell, so a build never
-//! regroups them. At 1 000 members (≈140 cells, ≈26 k contributions) a
-//! build takes ≈9 ms in release on a 2-core x86-64 container.
+//! Storage: each cell holds its contributors as source-sorted parallel
+//! columns — sources, weights, and `arity` grades and statistics per
+//! contributor — so an update is a binary search and a splice, and a
+//! build reads each cell's contributors as one contiguous run.
+//!
+//! Cost model: a pull ([`GsAccumulator::update_source_encoded`]) reads
+//! the changed source's leaf records straight from its encoded summary
+//! into the columns, without building a tree, so the *merge/decode
+//! work* per round (the paper's §6.1 cost unit) scales with the stale
+//! subset. `build_merged` stays Θ(contributions): the merged summary
+//! stores one per-source entry per (source, cell) pair, as the §4.2.2
+//! `NewGS` token does. But each contribution costs only a weight add, a
+//! grade max and a statistics merge; Cobweb placement and the path
+//! walks scale with cells × depth. At 1 000 members (≈140 cells, ≈26 k
+//! contributions) a pull of one 4 KB local summary takes ≈21 µs and a
+//! build ≈4.5 ms in release on a 2-core x86-64 container.
 
 use std::collections::BTreeMap;
 
@@ -36,15 +42,83 @@ use fuzzy::descriptor::Grade;
 use relation::stats::AttributeStats;
 
 use crate::cell::{CellKey, SourceId};
-use crate::engine::{incorporate_cell, EngineConfig};
+use crate::engine::{place_cell, EngineConfig};
 use crate::error::SummaryError;
 use crate::hierarchy::SummaryTree;
+use crate::wire::{self, Record};
 
-/// One source's contribution to one cell: everything the merge needs to
-/// fold it into a fresh tree.
-#[derive(Debug, Clone)]
-struct Contribution {
-    weight: f64,
+/// The contributions to one cell: parallel columns in strictly
+/// increasing source order, `arity` grades and statistics per
+/// contributor.
+#[derive(Debug, Clone, Default)]
+struct Contributors {
+    sources: Vec<SourceId>,
+    weights: Vec<f64>,
+    grades: Vec<Grade>,
+    stats: Vec<AttributeStats>,
+}
+
+impl Contributors {
+    fn grades(&self, i: usize, arity: usize) -> &[Grade] {
+        &self.grades[i * arity..(i + 1) * arity]
+    }
+
+    fn stats(&self, i: usize, arity: usize) -> &[AttributeStats] {
+        &self.stats[i * arity..(i + 1) * arity]
+    }
+
+    /// Sets `source`'s contribution, inserting it in source order.
+    fn upsert(
+        &mut self,
+        source: SourceId,
+        weight: f64,
+        grades: &[Grade],
+        stats: &[AttributeStats],
+    ) {
+        let arity = grades.len();
+        match self.sources.binary_search(&source) {
+            Ok(i) => {
+                self.weights[i] = weight;
+                self.grades[i * arity..(i + 1) * arity].copy_from_slice(grades);
+                self.stats[i * arity..(i + 1) * arity].copy_from_slice(stats);
+            }
+            Err(i) => {
+                // Grow by a quarter, not the default doubling: the
+                // columns are most of a domain's resident GS state.
+                if self.sources.len() == self.sources.capacity() {
+                    let more = self.sources.len() / 4 + 1;
+                    self.sources.reserve_exact(more);
+                    self.weights.reserve_exact(more);
+                    self.grades.reserve_exact(more * arity);
+                    self.stats.reserve_exact(more * arity);
+                }
+                self.sources.insert(i, source);
+                self.weights.insert(i, weight);
+                let at = i * arity;
+                self.grades.splice(at..at, grades.iter().copied());
+                self.stats.splice(at..at, stats.iter().copied());
+            }
+        }
+    }
+
+    /// Drops `source`'s contribution, if any.
+    fn remove(&mut self, source: SourceId, arity: usize) {
+        if let Ok(i) = self.sources.binary_search(&source) {
+            self.sources.remove(i);
+            self.weights.remove(i);
+            self.grades.drain(i * arity..(i + 1) * arity);
+            self.stats.drain(i * arity..(i + 1) * arity);
+        }
+    }
+}
+
+/// One source's contributions, read and checked in full before any is
+/// applied: every cell read, in strictly increasing order, with the
+/// source's weight in it and the slot of its `arity` grades and
+/// statistics, or `None` where the source does not contribute.
+#[derive(Default)]
+struct Staged {
+    cells: Vec<(CellKey, Option<(f64, usize)>)>,
     grades: Vec<Grade>,
     stats: Vec<AttributeStats>,
 }
@@ -58,11 +132,11 @@ pub struct GsAccumulator {
     bk_name: String,
     label_counts: Vec<usize>,
     config: EngineConfig,
-    /// Each contributing source's cells.
+    /// Each contributing source's cells, in key order.
     sources: BTreeMap<SourceId, Vec<CellKey>>,
-    /// The contributions by cell, contributors in source order: the
-    /// order [`GsAccumulator::build_merged`] folds them in.
-    cells: BTreeMap<CellKey, BTreeMap<SourceId, Contribution>>,
+    /// The contributions by cell: the order
+    /// [`GsAccumulator::build_merged`] folds them in.
+    cells: BTreeMap<CellKey, Contributors>,
 }
 
 impl GsAccumulator {
@@ -77,8 +151,24 @@ impl GsAccumulator {
         }
     }
 
+    fn arity(&self) -> usize {
+        self.label_counts.len()
+    }
+
+    fn check_bk(&self, bk_name: &str, label_counts: &[usize]) -> Result<(), SummaryError> {
+        if bk_name != self.bk_name || label_counts != &self.label_counts[..] {
+            return Err(SummaryError::IncompatibleBk {
+                left: self.bk_name.clone(),
+                right: bk_name.to_string(),
+            });
+        }
+        Ok(())
+    }
+
     /// Replaces (or inserts) `source`'s contribution with the leaves of
-    /// `tree`. The tree must be built over the accumulator's BK.
+    /// `tree`. The tree must be built over the accumulator's BK; a
+    /// cell's grades past the BK arity are ignored and missing ones
+    /// read as 0.
     ///
     /// For the intended use — a peer's *local* summary, where `source`
     /// is the only contributor — the recorded weights, grades and
@@ -90,43 +180,123 @@ impl GsAccumulator {
         source: SourceId,
         tree: &SummaryTree,
     ) -> Result<(), SummaryError> {
-        if tree.bk_name() != self.bk_name || tree.label_counts() != &self.label_counts[..] {
-            return Err(SummaryError::IncompatibleBk {
-                left: self.bk_name.clone(),
-                right: tree.bk_name().to_string(),
-            });
-        }
-        self.remove_source(source);
-        let mut keys = Vec::new();
+        self.check_bk(tree.bk_name(), tree.label_counts())?;
+        let arity = self.arity();
+        let mut staged = Staged::default();
         for (key, entry) in tree.cells() {
             let Some(&weight) = entry.content.per_source.get(&source) else {
                 continue;
             };
-            let contribution = Contribution {
-                weight,
-                grades: entry.content.max_grades.clone(),
-                stats: entry.stats.clone(),
-            };
-            self.cells
-                .entry(key.clone())
-                .or_default()
-                .insert(source, contribution);
-            keys.push(key.clone());
+            let slot = staged.cells.len();
+            staged.cells.push((key.clone(), Some((weight, slot))));
+            let grades = entry.content.max_grades.iter().copied();
+            staged
+                .grades
+                .extend(grades.chain(std::iter::repeat(0.0)).take(arity));
+            staged.stats.extend_from_slice(&entry.stats);
         }
-        self.sources.insert(source, keys);
+        self.replace(source, staged);
         Ok(())
     }
 
-    /// [`GsAccumulator::update_source`] from an encoded summary: decodes
-    /// `bytes` and returns the payload size on success.
+    /// [`GsAccumulator::update_source`] from an encoded summary, without
+    /// decoding it into a tree: the leaf records are read straight into
+    /// the columns, with exactly the weights, grades and statistics
+    /// `update_source(source, &wire::decode(bytes)?)` would record, and
+    /// the same inputs rejected. Returns the payload size on success;
+    /// on error the accumulator is unchanged.
     pub fn update_source_encoded(
         &mut self,
         source: SourceId,
         bytes: &[u8],
     ) -> Result<usize, SummaryError> {
-        let tree = crate::wire::decode(bytes)?;
-        self.update_source(source, &tree)?;
+        let mut buf = bytes;
+        let header = wire::read_header(&mut buf)?;
+        let mut staged = Staged::default();
+        let mut slots = 0;
+        wire::read_body(&mut buf, &header.label_counts, |record| {
+            let Record::Leaf(leaf) = record else {
+                return Ok(());
+            };
+            // The decoded cell's content: its weight for `source` sums
+            // the matching entries from zero, and its grades are the
+            // maxima from zero that `CellContent::add` keeps.
+            let mut weight = None;
+            for (s, w) in leaf.entries() {
+                if s == source {
+                    *weight.get_or_insert(0.0) += w;
+                }
+            }
+            let Some(weight) = weight else {
+                staged.cells.push((leaf.key, None));
+                return Ok(());
+            };
+            let slot = slots;
+            slots += 1;
+            staged
+                .grades
+                .extend(leaf.grades().map(|g| if g > 0.0 { g } else { 0.0 }));
+            staged.stats.extend(leaf.stats().map(|st| {
+                let mut own = AttributeStats::new();
+                own.merge(&st);
+                own
+            }));
+            staged.cells.push((leaf.key, Some((weight, slot))));
+            Ok(())
+        })?;
+        staged.cells.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        if staged.cells.windows(2).any(|w| w[0].0 == w[1].0) {
+            return Err(SummaryError::Codec("duplicate cell".to_string()));
+        }
+        self.check_bk(&header.bk_name, &header.label_counts)?;
+        self.replace(source, staged);
         Ok(bytes.len())
+    }
+
+    /// Makes the cells `source` contributes to in `staged` its whole
+    /// contribution.
+    fn replace(&mut self, source: SourceId, staged: Staged) {
+        let arity = self.arity();
+        if let Some(old) = self.sources.remove(&source) {
+            for key in old {
+                let kept = staged
+                    .cells
+                    .binary_search_by(|(k, _)| k.cmp(&key))
+                    .is_ok_and(|i| staged.cells[i].1.is_some());
+                if !kept {
+                    self.remove_from_cell(&key, source);
+                }
+            }
+        }
+        let mut keys = Vec::with_capacity(staged.cells.len());
+        for (key, contribution) in staged.cells {
+            let Some((weight, slot)) = contribution else {
+                continue;
+            };
+            let grades = &staged.grades[slot * arity..(slot + 1) * arity];
+            let stats = &staged.stats[slot * arity..(slot + 1) * arity];
+            match self.cells.get_mut(&key) {
+                Some(cell) => cell.upsert(source, weight, grades, stats),
+                None => {
+                    let mut cell = Contributors::default();
+                    cell.upsert(source, weight, grades, stats);
+                    self.cells.insert(key.clone(), cell);
+                }
+            }
+            keys.push(key);
+        }
+        self.sources.insert(source, keys);
+    }
+
+    /// Drops `source` from cell `key`, and the cell once it is empty.
+    fn remove_from_cell(&mut self, key: &CellKey, source: SourceId) {
+        let arity = self.arity();
+        if let Some(cell) = self.cells.get_mut(key) {
+            cell.remove(source, arity);
+            if cell.sources.is_empty() {
+                self.cells.remove(key);
+            }
+        }
     }
 
     /// Drops `source`'s contribution. Returns whether it was present.
@@ -135,12 +305,7 @@ impl GsAccumulator {
             return false;
         };
         for key in keys {
-            if let Some(contributors) = self.cells.get_mut(&key) {
-                contributors.remove(&source);
-                if contributors.is_empty() {
-                    self.cells.remove(&key);
-                }
-            }
+            self.remove_from_cell(&key, source);
         }
         true
     }
@@ -171,6 +336,45 @@ impl GsAccumulator {
         self.cells.clear();
     }
 
+    /// Verifies the storage invariants; panics with a description on
+    /// violation. Every cell's columns are aligned (`arity` grades and
+    /// statistics per contributor), its sources strictly increase, no
+    /// cell is empty, and the per-source index lists, in strictly
+    /// increasing order, exactly the cells each source contributes to.
+    pub fn check_invariants(&self) {
+        let arity = self.arity();
+        for (key, cell) in &self.cells {
+            let n = cell.sources.len();
+            assert!(n > 0, "empty cell {key:?}");
+            assert_eq!(cell.weights.len(), n, "weights misaligned at {key:?}");
+            assert_eq!(cell.grades.len(), n * arity, "grades misaligned at {key:?}");
+            assert_eq!(cell.stats.len(), n * arity, "stats misaligned at {key:?}");
+            assert!(
+                cell.sources.windows(2).all(|w| w[0] < w[1]),
+                "sources out of order at {key:?}"
+            );
+            for s in &cell.sources {
+                let keys = self.sources.get(s);
+                assert!(
+                    keys.is_some_and(|k| k.contains(key)),
+                    "{s:?} contributes to {key:?} but the index omits it"
+                );
+            }
+        }
+        for (s, keys) in &self.sources {
+            assert!(
+                keys.windows(2).all(|w| w[0] < w[1]),
+                "index of {s:?} out of order"
+            );
+            for key in keys {
+                assert!(
+                    self.cells.get(key).is_some_and(|c| c.sources.contains(s)),
+                    "index lists {key:?} for {s:?}, which does not contribute to it"
+                );
+            }
+        }
+    }
+
     /// Builds the canonical merged summary of the current contributions.
     ///
     /// Deterministic in the source *set*: cells are incorporated in
@@ -180,42 +384,47 @@ impl GsAccumulator {
     /// on the order updates and removals happened in.
     ///
     /// Each cell is folded once: its first positive-weight contributor
-    /// places the leaf through Cobweb ([`incorporate_cell`]); the rest
-    /// are added to the cell's content and statistics in source order,
-    /// and the leaf's path takes all their weights in one walk.
+    /// places the leaf through Cobweb; then every positive weight, in
+    /// source order, is added to the cell's weight and grade maxima and
+    /// the leaf's path takes them all in one walk, every contributor's
+    /// statistics from the first on are merged in source order, and the
+    /// per-source weights are collected once from the sorted run.
     /// Non-positive weights are skipped (their statistics still merge
     /// once the leaf exists), as a per-contribution replay would.
     pub fn build_merged(&self) -> SummaryTree {
+        let arity = self.arity();
         let mut tree = SummaryTree::new(self.bk_name.clone(), self.label_counts.clone());
         let mut weights = Vec::new();
-        for (key, contributors) in &self.cells {
-            let mut rest = contributors.iter();
+        for (key, cell) in &self.cells {
             // Before the first placement the cell has no leaf, so skipped
             // contributors have nothing to merge their statistics into.
-            let Some((&first_src, first)) = rest.by_ref().find(|(_, c)| c.weight > 0.0) else {
+            let Some(first) = cell.weights.iter().position(|&w| w > 0.0) else {
                 continue;
             };
-            incorporate_cell(
-                &mut tree,
-                &self.config,
-                key,
-                first_src,
-                first.weight,
-                &first.grades,
-                None,
-            );
+            place_cell(&mut tree, &self.config, key, cell.weights[first]);
             let entry = tree
                 .cell_entry_mut(key)
                 .expect("the first contributor placed the leaf");
-            entry.merge_stats(&first.stats);
+            entry.content.max_grades.resize(arity, 0.0);
             weights.clear();
-            for (&src, c) in rest {
-                if c.weight > 0.0 {
-                    entry.content.add(src, c.weight, &c.grades);
-                    weights.push(c.weight);
+            for i in first..cell.sources.len() {
+                let w = cell.weights[i];
+                if w > 0.0 {
+                    entry.content.weight += w;
+                    let maxima = entry.content.max_grades.iter_mut();
+                    for (slot, &g) in maxima.zip(cell.grades(i, arity)) {
+                        if g > *slot {
+                            *slot = g;
+                        }
+                    }
+                    weights.push(w);
                 }
-                entry.merge_stats(&c.stats);
+                entry.merge_stats(cell.stats(i, arity));
             }
+            entry.content.per_source = (first..cell.sources.len())
+                .filter(|&i| cell.weights[i] > 0.0)
+                .map(|i| (cell.sources[i], cell.weights[i]))
+                .collect();
             let leaf = entry.leaf;
             tree.update_path(leaf, key, &weights);
         }
@@ -229,14 +438,15 @@ impl GsAccumulator {
     /// checked against.
     #[cfg(test)]
     fn build_merged_reference(&self) -> SummaryTree {
+        let arity = self.arity();
         let mut tree = SummaryTree::new(self.bk_name.clone(), self.label_counts.clone());
-        for (key, contributors) in &self.cells {
-            for (&src, c) in contributors {
-                if c.weight > 0.0 {
-                    crate::engine::place_cell(&mut tree, &self.config, key, c.weight);
-                    tree.add_to_cell_dense(key, src, c.weight, &c.grades);
+        for (key, cell) in &self.cells {
+            for (i, (&src, &w)) in cell.sources.iter().zip(&cell.weights).enumerate() {
+                if w > 0.0 {
+                    place_cell(&mut tree, &self.config, key, w);
+                    tree.add_to_cell_dense(key, src, w, cell.grades(i, arity));
                 }
-                tree.merge_cell_stats(key, &c.stats);
+                tree.merge_cell_stats(key, cell.stats(i, arity));
             }
         }
         tree
@@ -420,9 +630,21 @@ mod tests {
     /// A one-source tree over [`SHAPE`] with arbitrary (also
     /// non-positive) per-cell weights and statistics.
     fn source_tree(source: u32, cells: &[((u16, u16, u16), f64, f64)]) -> SummaryTree {
+        let cells: Vec<_> = cells
+            .iter()
+            .map(|&(k, w, raw)| (source, k, w, raw))
+            .collect();
+        tree_of(&cells)
+    }
+
+    /// One `(source, cell, weight, raw value)` contribution.
+    type Contribution = (u32, (u16, u16, u16), f64, f64);
+
+    /// A tree over [`SHAPE`] taking each contribution in turn.
+    fn tree_of(cells: &[Contribution]) -> SummaryTree {
         let mut tree = SummaryTree::new("prop-bk", SHAPE.to_vec());
         let root = tree.root();
-        for &((a, b, c), weight, raw) in cells {
+        for &(source, (a, b, c), weight, raw) in cells {
             let key = CellKey(vec![LabelId(a), LabelId(b), LabelId(c)]);
             if tree.leaf_of(&key).is_none() {
                 tree.create_leaf(root, key.clone());
@@ -433,6 +655,105 @@ mod tests {
             tree.add_to_cell(&key, SourceId(source), weight, &grades, values);
         }
         tree
+    }
+
+    /// `update_source_encoded(source, bytes)` on a copy of `a` and
+    /// `decode` + `update_source` on another agree on the outcome (error
+    /// kind included), on the storage and on the merged bytes; on an
+    /// error the accumulator is left exactly as it was.
+    fn assert_pull_matches_decode(a: &GsAccumulator, source: SourceId, bytes: &[u8]) {
+        let before = format!("{a:?}");
+        let (mut pulled, mut decoded) = (a.clone(), a.clone());
+        let direct = pulled.update_source_encoded(source, bytes);
+        let via_tree = wire::decode(bytes).and_then(|t| decoded.update_source(source, &t));
+        match (&direct, &via_tree) {
+            (Ok(n), Ok(())) => assert_eq!(*n, bytes.len()),
+            (Err(x), Err(y)) => {
+                assert_eq!(std::mem::discriminant(x), std::mem::discriminant(y));
+                assert_eq!(format!("{pulled:?}"), before, "an error changes nothing");
+            }
+            _ => panic!("pull {direct:?} but decode + update {via_tree:?}"),
+        }
+        pulled.check_invariants();
+        assert_eq!(format!("{pulled:?}"), format!("{decoded:?}"));
+        assert_eq!(
+            wire::encode(&pulled.build_merged()),
+            wire::encode(&decoded.build_merged())
+        );
+    }
+
+    /// One leaf record written field by field: a cell, `(source,
+    /// weight)` entries (a source may repeat), per-attribute grades (any
+    /// sign) and one statistics slot `(flag, count, value)` for the
+    /// first and last attribute (a flag of 1 writes a body, whatever its
+    /// count; any other flag reads as empty).
+    type RawLeaf = (
+        (u16, u16, u16),
+        Vec<(u32, f64)>,
+        (f64, f64, f64),
+        (u8, f64, f64),
+    );
+
+    /// An encoding over [`SHAPE`]: a root holding the given leaf
+    /// records, which no tree could have produced.
+    fn raw_summary(leaves: &[RawLeaf]) -> Vec<u8> {
+        use bytes::BufMut;
+        let mut buf = wire::encode(&SummaryTree::new("prop-bk", SHAPE.to_vec())).to_vec();
+        let root = buf.len() - 3;
+        buf.truncate(root);
+        buf.put_u8(0);
+        buf.put_u16(leaves.len() as u16);
+        for ((a, b, c), entries, (g0, g1, g2), (flag, count, x)) in leaves {
+            buf.put_u8(1);
+            for l in [a, b, c] {
+                buf.put_u16(*l);
+            }
+            buf.put_f64(entries.iter().map(|e| e.1).sum());
+            buf.put_u32(entries.len() as u32);
+            for &(s, w) in entries {
+                buf.put_u32(s);
+                buf.put_f64(w);
+            }
+            for g in [g0, g1, g2] {
+                buf.put_f64(*g);
+            }
+            for slot in [Some((*flag, *count, *x)), None, Some((*flag, *count, -x))] {
+                match slot {
+                    Some((1, count, x)) => {
+                        buf.put_u8(1);
+                        for v in [count, x, x, x, x * x] {
+                            buf.put_f64(v);
+                        }
+                    }
+                    Some((flag, ..)) => buf.put_u8(flag),
+                    None => buf.put_u8(0),
+                }
+            }
+        }
+        buf
+    }
+
+    #[test]
+    fn encoded_pull_rejects_what_decode_rejects() {
+        let mut a = acc();
+        a.update_source(SourceId(1), &local_summary(71, 1, 30))
+            .unwrap();
+        for (what, bytes) in wire::crafted_corruptions() {
+            assert!(
+                matches!(
+                    a.clone().update_source_encoded(SourceId(1), &bytes),
+                    Err(SummaryError::Codec(_))
+                ),
+                "{what}"
+            );
+            assert_pull_matches_decode(&a, SourceId(1), &bytes);
+        }
+        let other_bk = wire::encode(&source_tree(1, &[((0, 0, 0), 1.0, 5.0)]));
+        assert!(matches!(
+            a.clone().update_source_encoded(SourceId(1), &other_bk),
+            Err(SummaryError::IncompatibleBk { .. })
+        ));
+        assert_pull_matches_decode(&a, SourceId(1), &other_bk);
     }
 
     proptest! {
@@ -473,15 +794,96 @@ mod tests {
                         live.clear();
                     }
                 }
+                a.check_invariants();
                 let built = a.build_merged();
                 assert_same_nodes(&built, &a.build_merged_reference());
                 let mut fresh = GsAccumulator::new("prop-bk", SHAPE.to_vec());
                 for (&s, t) in &live {
                     fresh.update_source(SourceId(s), t).unwrap();
                 }
+                fresh.check_invariants();
                 prop_assert_eq!(wire::encode(&built), wire::encode(&fresh.build_merged()));
                 prop_assert_eq!(a.len(), live.len());
             }
+        }
+
+        /// A pull straight from the bytes equals decode + update, on
+        /// random summaries (some cells without the pulled source) and
+        /// on random byte flips and truncations of their encodings.
+        #[test]
+        fn encoded_pull_equals_decode_then_update(
+            primed in prop::collection::vec(
+                (
+                    0u32..4,
+                    prop::collection::vec(
+                        ((0u16..3, 0u16..4, 0u16..5), -0.5f64..3.0, 0.0f64..100.0),
+                        0..8,
+                    ),
+                ),
+                0..4,
+            ),
+            target in 0u32..4,
+            cells in prop::collection::vec(
+                (0u32..3, (0u16..3, 0u16..4, 0u16..5), -0.5f64..3.0, 0.0f64..100.0),
+                0..10,
+            ),
+            flips in prop::collection::vec((any::<usize>(), 1u8..=255), 0..4),
+            cut in prop::collection::vec(any::<usize>(), 0..2),
+        ) {
+            let mut a = GsAccumulator::new("prop-bk", SHAPE.to_vec());
+            for (source, cells) in &primed {
+                a.update_source(SourceId(*source), &source_tree(*source, cells)).unwrap();
+            }
+            // Sources target..target+2: a cell may lack the target.
+            let cells: Vec<_> = cells
+                .iter()
+                .map(|&(ds, k, w, raw)| (target + ds, k, w, raw))
+                .collect();
+            let mut bytes = wire::encode(&tree_of(&cells)).to_vec();
+            for &(at, x) in &flips {
+                let at = at % bytes.len();
+                bytes[at] ^= x;
+            }
+            if let Some(&c) = cut.first() {
+                bytes.truncate(c % (bytes.len() + 1));
+            }
+            assert_pull_matches_decode(&a, SourceId(target), &bytes);
+        }
+
+        /// The same on leaf records no tree writes: repeated sources,
+        /// signed-zero and NaN weights, grades of any sign, statistics slots with a zero or negative
+        /// count, flags other than 0 and 1, and cells read twice.
+        #[test]
+        fn encoded_pull_equals_decode_on_raw_records(
+            primed in prop::collection::vec(
+                ((0u16..3, 0u16..4, 0u16..5), -0.5f64..3.0, 0.0f64..100.0),
+                0..8,
+            ),
+            leaves in prop::collection::vec(
+                (
+                    (0u16..3, 0u16..4, 0u16..5),
+                    prop::collection::vec(
+                        (
+                            0u32..2,
+                            prop::sample::select(vec![-0.0, 0.0, -1.0, 0.25, 1.0, 2.5, f64::NAN]),
+                        ),
+                        0..4,
+                    ),
+                    (-1.0f64..1.5, -1.0f64..1.5, -1.0f64..1.5),
+                    (0u8..3, -0.5f64..3.0, 0.0f64..100.0),
+                ),
+                0..6,
+            ),
+            zero_count in prop::collection::vec(any::<usize>(), 0..2),
+        ) {
+            let mut a = GsAccumulator::new("prop-bk", SHAPE.to_vec());
+            a.update_source(SourceId(0), &source_tree(0, &primed)).unwrap();
+            let mut leaves = leaves;
+            if let (Some(&i), false) = (zero_count.first(), leaves.is_empty()) {
+                let i = i % leaves.len();
+                leaves[i].3 = (1, 0.0, leaves[i].3 .2);
+            }
+            assert_pull_matches_decode(&a, SourceId(0), &raw_summary(&leaves));
         }
     }
 }

@@ -7,6 +7,15 @@
 //! the tree structure plus leaf contents; inner aggregates (counts,
 //! histograms, intents) are recomputed on decode, which both shrinks the
 //! wire format and guarantees decoded trees satisfy every invariant.
+//!
+//! The grammar lives in two readers: `read_header` for the BK header
+//! and `read_body` for the node tree, whose leaf records it checks
+//! (labels in range, every length present) and hands out as borrowed
+//! `LeafRecord`s. [`decode`] builds a tree from them;
+//! [`crate::delta::GsAccumulator::update_source_encoded`] folds the
+//! leaf records straight into its columns without building one. Both
+//! go through the same readers, so they accept exactly the same inputs,
+//! and neither panics on malformed bytes.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use fuzzy::descriptor::LabelId;
@@ -76,133 +85,264 @@ fn encode_node(tree: &SummaryTree, id: NodeId, buf: &mut BytesMut) {
 }
 
 /// Decodes a summary tree encoded by [`encode`].
+///
+/// Rejects (with [`SummaryError::Codec`], never a panic) everything the
+/// shared readers `read_header` and `read_body` reject, and a cell
+/// that appears in two leaves.
 pub fn decode(bytes: &[u8]) -> Result<SummaryTree, SummaryError> {
     let mut buf = bytes;
-    let err = |m: &str| SummaryError::Codec(m.to_string());
+    let header = read_header(&mut buf)?;
+    let label_counts = header.label_counts.clone();
+    let mut tree = SummaryTree::new(header.bk_name, header.label_counts);
+    // The innermost open internal node: the parent of the next record.
+    let mut parents = vec![tree.root()];
+    let mut grades = Vec::new();
+    let mut weights = Vec::new();
+    read_body(&mut buf, &label_counts, |record| {
+        let parent = *parents.last().expect("the root stays open");
+        match record {
+            Record::Open => parents.push(tree.create_internal(parent)),
+            Record::Close => {
+                parents.pop();
+            }
+            Record::Leaf(leaf) => {
+                if tree.leaf_of(&leaf.key).is_some() {
+                    return Err(codec("duplicate cell"));
+                }
+                // Every source is folded into the content in order, then
+                // the path takes all their weights in one walk.
+                let node = tree.create_leaf(parent, leaf.key.clone());
+                let entry = tree.cell_entry_mut(&leaf.key).expect("leaf just created");
+                grades.clear();
+                grades.extend(leaf.grades());
+                weights.clear();
+                for (s, w) in leaf.entries() {
+                    entry.content.add(s, w, &grades);
+                    weights.push(w);
+                }
+                for (own, st) in entry.stats.iter_mut().zip(leaf.stats()) {
+                    own.merge(&st);
+                }
+                tree.update_path(node, &leaf.key, &weights);
+            }
+        }
+        Ok(())
+    })?;
+    Ok(tree)
+}
+
+fn codec(message: &str) -> SummaryError {
+    SummaryError::Codec(message.to_string())
+}
+
+/// The header of an encoded summary: the Background Knowledge it was
+/// built against.
+pub(crate) struct Header {
+    pub(crate) bk_name: String,
+    pub(crate) label_counts: Vec<usize>,
+}
+
+/// Reads the header (magic, version, BK name, label counts) off the
+/// front of `buf`.
+pub(crate) fn read_header(buf: &mut &[u8]) -> Result<Header, SummaryError> {
     if buf.remaining() < 5 || &buf[..4] != MAGIC {
-        return Err(err("bad magic"));
+        return Err(codec("bad magic"));
     }
     buf.advance(4);
     if buf.get_u8() != VERSION {
-        return Err(err("unsupported version"));
+        return Err(codec("unsupported version"));
     }
     if buf.remaining() < 2 {
-        return Err(err("truncated name"));
+        return Err(codec("truncated name"));
     }
     let name_len = buf.get_u16() as usize;
     if buf.remaining() < name_len {
-        return Err(err("truncated name"));
+        return Err(codec("truncated name"));
     }
-    let name = String::from_utf8(buf[..name_len].to_vec()).map_err(|_| err("name not utf8"))?;
+    let bk_name =
+        String::from_utf8(buf[..name_len].to_vec()).map_err(|_| codec("name not utf8"))?;
     buf.advance(name_len);
     if buf.remaining() < 2 {
-        return Err(err("truncated arity"));
+        return Err(codec("truncated arity"));
     }
     let arity = buf.get_u16() as usize;
     let mut label_counts = Vec::with_capacity(arity);
     for _ in 0..arity {
         if buf.remaining() < 2 {
-            return Err(err("truncated label counts"));
+            return Err(codec("truncated label counts"));
         }
         label_counts.push(buf.get_u16() as usize);
     }
-    let mut tree = SummaryTree::new(name, label_counts);
-    let root = tree.root();
-    decode_node(&mut tree, root, &mut buf, arity, true)?;
-    if buf.has_remaining() {
-        return Err(err("trailing bytes"));
-    }
-    Ok(tree)
+    Ok(Header {
+        bk_name,
+        label_counts,
+    })
 }
 
-fn decode_node(
-    tree: &mut SummaryTree,
-    parent: NodeId,
-    buf: &mut &[u8],
-    arity: usize,
-    is_root: bool,
-) -> Result<(), SummaryError> {
-    let err = |m: &str| SummaryError::Codec(m.to_string());
-    if !buf.has_remaining() {
-        return Err(err("truncated node"));
+/// One record of an encoded body, in the encoder's pre-order.
+pub(crate) enum Record<'a> {
+    /// An internal node below the root opens; its children follow.
+    Open,
+    /// The innermost open internal node has all its children.
+    Close,
+    /// A leaf: one cell and its content.
+    Leaf(LeafRecord<'a>),
+}
+
+/// A validated leaf record, borrowing its content from the input.
+pub(crate) struct LeafRecord<'a> {
+    /// The cell; every label is within its attribute's label count.
+    pub(crate) key: CellKey,
+    /// `(u32 source, f64 weight)` pairs, 12 bytes each.
+    entries: &'a [u8],
+    /// One `f64` per attribute.
+    grades: &'a [u8],
+    /// One statistics slot per attribute: a flag byte, then five `f64`
+    /// when the flag is 1.
+    stats: &'a [u8],
+}
+
+impl<'a> LeafRecord<'a> {
+    /// The per-source weights, in encoded order.
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (SourceId, f64)> + 'a {
+        self.entries
+            .chunks_exact(12)
+            .map(|mut e| (SourceId(e.get_u32()), e.get_f64()))
     }
-    let tag = buf.get_u8();
-    match tag {
-        1 => {
-            // Leaf: read the cell and attach under `parent`.
-            if buf.remaining() < arity * 2 {
-                return Err(err("truncated cell key"));
+
+    /// The per-attribute grades.
+    pub(crate) fn grades(&self) -> impl Iterator<Item = f64> + 'a {
+        self.grades.chunks_exact(8).map(|mut g| g.get_f64())
+    }
+
+    /// The per-attribute statistics; an empty slot reads as
+    /// [`AttributeStats::new`].
+    pub(crate) fn stats(&self) -> impl Iterator<Item = AttributeStats> + 'a {
+        let mut buf = self.stats;
+        std::iter::from_fn(move || {
+            if !buf.has_remaining() {
+                return None;
             }
-            let key = CellKey((0..arity).map(|_| LabelId(buf.get_u16())).collect());
-            if buf.remaining() < 8 + 4 {
-                return Err(err("truncated cell content"));
-            }
-            let _total = buf.get_f64();
-            let n_sources = buf.get_u32() as usize;
-            if buf.remaining() < n_sources * 12 {
-                return Err(err("truncated sources"));
-            }
-            let mut sources = Vec::with_capacity(n_sources);
-            let mut weights = Vec::with_capacity(n_sources);
-            for _ in 0..n_sources {
-                sources.push(SourceId(buf.get_u32()));
-                weights.push(buf.get_f64());
-            }
-            if buf.remaining() < arity * 8 {
-                return Err(err("truncated grades"));
-            }
-            let grades: Vec<f64> = (0..arity).map(|_| buf.get_f64()).collect();
-            let mut stats = Vec::with_capacity(arity);
-            for _ in 0..arity {
-                if !buf.has_remaining() {
-                    return Err(err("truncated stats"));
-                }
-                if buf.get_u8() == 1 {
-                    if buf.remaining() < 40 {
-                        return Err(err("truncated stats body"));
-                    }
-                    let (c, mn, mx, mean, m2) = (
-                        buf.get_f64(),
-                        buf.get_f64(),
-                        buf.get_f64(),
-                        buf.get_f64(),
-                        buf.get_f64(),
-                    );
-                    stats.push(AttributeStats::from_raw_parts(c, mn, mx, mean, m2));
-                } else {
-                    stats.push(AttributeStats::new());
-                }
-            }
-            // A leaf directly at the root slot: the decoded parent here is
-            // always an internal node we created, so attach normally.
-            // Every source is folded into the content in order, then the
-            // path takes all their weights in one walk.
-            let leaf = tree.create_leaf(parent, key.clone());
-            let entry = tree.cell_entry_mut(&key).expect("leaf just created");
-            for (&s, &w) in sources.iter().zip(&weights) {
-                entry.content.add(s, w, &grades);
-            }
-            entry.merge_stats(&stats);
-            tree.update_path(leaf, &key, &weights);
-            Ok(())
-        }
-        0 => {
-            if buf.remaining() < 2 {
-                return Err(err("truncated child count"));
-            }
-            let n = buf.get_u16() as usize;
-            let host = if is_root {
-                parent
+            Some(if buf.get_u8() == 1 {
+                let (c, mn, mx, mean, m2) = (
+                    buf.get_f64(),
+                    buf.get_f64(),
+                    buf.get_f64(),
+                    buf.get_f64(),
+                    buf.get_f64(),
+                );
+                AttributeStats::from_raw_parts(c, mn, mx, mean, m2)
             } else {
-                tree.create_internal(parent)
-            };
-            for _ in 0..n {
-                decode_node(tree, host, buf, arity, false)?;
-            }
-            Ok(())
-        }
-        _ => Err(err("bad node tag")),
+                AttributeStats::new()
+            })
+        })
     }
+}
+
+/// Reads one leaf record (after its tag) off the front of `buf`.
+fn read_leaf<'a>(
+    buf: &mut &'a [u8],
+    label_counts: &[usize],
+) -> Result<LeafRecord<'a>, SummaryError> {
+    let arity = label_counts.len();
+    if buf.remaining() < arity * 2 {
+        return Err(codec("truncated cell key"));
+    }
+    let mut labels = Vec::with_capacity(arity);
+    for &n in label_counts {
+        let label = buf.get_u16();
+        if usize::from(label) >= n {
+            return Err(codec("label out of range"));
+        }
+        labels.push(LabelId(label));
+    }
+    if buf.remaining() < 8 + 4 {
+        return Err(codec("truncated cell content"));
+    }
+    let _total = buf.get_f64();
+    let n_sources = buf.get_u32() as usize;
+    let entries = take(buf, n_sources * 12).ok_or_else(|| codec("truncated sources"))?;
+    let grades = take(buf, arity * 8).ok_or_else(|| codec("truncated grades"))?;
+    let all = *buf;
+    for _ in 0..arity {
+        if !buf.has_remaining() {
+            return Err(codec("truncated stats"));
+        }
+        if buf.get_u8() == 1 {
+            if buf.remaining() < 40 {
+                return Err(codec("truncated stats body"));
+            }
+            buf.advance(40);
+        }
+    }
+    let stats = &all[..all.len() - buf.len()];
+    Ok(LeafRecord {
+        key: CellKey(labels),
+        entries,
+        grades,
+        stats,
+    })
+}
+
+/// Splits the first `n` bytes off `buf`, if it has them.
+fn take<'a>(buf: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
+    if buf.len() < n {
+        return None;
+    }
+    let (head, rest) = buf.split_at(n);
+    *buf = rest;
+    Some(head)
+}
+
+/// Reads the body after the header: one node tree and nothing after
+/// it. Hands `visit` every record in pre-order; the root's own record
+/// is not handed over, so a root leaf arrives as a lone
+/// [`Record::Leaf`] and a root internal node's children as if they
+/// were top level. The walk keeps its own stack, so nesting depth is
+/// bounded by the input, not by the call stack.
+pub(crate) fn read_body<'a>(
+    buf: &mut &'a [u8],
+    label_counts: &[usize],
+    mut visit: impl FnMut(Record<'a>) -> Result<(), SummaryError>,
+) -> Result<(), SummaryError> {
+    // Children still to read, per open internal node (the root first).
+    let mut open: Vec<u16> = Vec::new();
+    loop {
+        let is_root = open.is_empty();
+        if let Some(left) = open.last_mut() {
+            *left -= 1;
+        }
+        if !buf.has_remaining() {
+            return Err(codec("truncated node"));
+        }
+        match buf.get_u8() {
+            1 => visit(Record::Leaf(read_leaf(buf, label_counts)?))?,
+            0 => {
+                if buf.remaining() < 2 {
+                    return Err(codec("truncated child count"));
+                }
+                let n = buf.get_u16();
+                if !is_root {
+                    visit(Record::Open)?;
+                }
+                open.push(n);
+            }
+            _ => return Err(codec("bad node tag")),
+        }
+        while open.last() == Some(&0) {
+            open.pop();
+            if !open.is_empty() {
+                visit(Record::Close)?;
+            }
+        }
+        if open.is_empty() {
+            break;
+        }
+    }
+    if buf.has_remaining() {
+        return Err(codec("trailing bytes"));
+    }
+    Ok(())
 }
 
 /// Encoded size in bytes: `encode(tree).len()`, counted without
@@ -248,11 +388,42 @@ pub fn avg_node_bytes(tree: &SummaryTree) -> f64 {
     encoded_size(tree) as f64 / nodes as f64
 }
 
+/// Inputs only the checks added with the shared readers reject: a leaf
+/// label at its attribute's label count, and a cell in two leaves. Each
+/// is a one-cell summary over `[3, 4]` with its body rewritten.
+#[cfg(test)]
+pub(crate) fn crafted_corruptions() -> Vec<(&'static str, Vec<u8>)> {
+    let mut t = SummaryTree::new("bk", vec![3, 4]);
+    let key = CellKey(vec![LabelId(2), LabelId(3)]);
+    let root = t.root();
+    t.create_leaf(root, key.clone());
+    t.add_to_cell(
+        &key,
+        SourceId(1),
+        1.5,
+        &[0.5, 1.0],
+        Some(&[Some(4.0), None]),
+    );
+    let bytes = encode(&t);
+    let h = MAGIC.len() + 1 + 2 + 2 + 2 + 2 * 2;
+    // The root: an internal node with one child, the leaf record.
+    assert_eq!(&bytes[h..h + 3], &[0, 0, 1]);
+    let (header, leaf) = (&bytes[..h], &bytes[h + 3..]);
+    let mut out_of_range = bytes.to_vec();
+    out_of_range[h + 3 + 4] = 4; // the second label: 3 → 4 of 4
+    let duplicate = [header, &[0, 0, 2], leaf, leaf].concat();
+    vec![
+        ("label out of range", out_of_range),
+        ("duplicate cell", duplicate),
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::{EngineConfig, SaintEtiQEngine};
     use fuzzy::bk::BackgroundKnowledge;
+    use proptest::prelude::*;
     use rand::SeedableRng;
     use relation::generator::{patient_table, MatchTarget, PatientDistributions};
     use relation::schema::Schema;
@@ -347,6 +518,50 @@ mod tests {
         let mut bad = bytes.to_vec();
         bad.push(0);
         assert!(decode(&bad).is_err());
+        // A label past its attribute's vocabulary; a cell in two leaves.
+        for (what, bad) in crafted_corruptions() {
+            assert!(
+                matches!(decode(&bad), Err(SummaryError::Codec(_))),
+                "{what}"
+            );
+        }
+        // Deep nesting is walked without recursion: 20 000 internal
+        // nodes, each the only child of the last.
+        let mut deep = bytes[..bytes.len() - encoded_body_len(&t)].to_vec();
+        for _ in 0..20_000 {
+            deep.extend_from_slice(&[0, 0, 1]);
+        }
+        assert!(decode(&deep).is_err());
+    }
+
+    /// Bytes of `t`'s encoding after its header.
+    fn encoded_body_len(t: &SummaryTree) -> usize {
+        node_size(t, t.root())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Whatever bytes arrive, decoding returns; on success the tree
+        /// can be sized for re-encoding.
+        #[test]
+        fn decode_never_panics_on_mutated_bytes(
+            seed in 0u64..8,
+            flips in prop::collection::vec((any::<usize>(), 1u8..=255), 1..6),
+            cut in prop::collection::vec(any::<usize>(), 0..2),
+        ) {
+            let mut bytes = encode(&summary(100 + seed, 12)).to_vec();
+            for &(at, x) in &flips {
+                let at = at % bytes.len();
+                bytes[at] ^= x;
+            }
+            if let Some(&c) = cut.first() {
+                bytes.truncate(c % (bytes.len() + 1));
+            }
+            if let Ok(t) = decode(&bytes) {
+                encoded_size(&t);
+            }
+        }
     }
 
     #[test]

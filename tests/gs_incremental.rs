@@ -222,6 +222,7 @@ proptest! {
                 }
             }
             core.gs.check_invariants();
+            core.acc.check_invariants();
         }
         // Close with a full pull: the final state must be equivalent
         // (trivially so after a dissolution — both sides are empty).
